@@ -1,26 +1,26 @@
-// bench_los: the solver=los production fast path vs the full hierarchy.
+// bench_los: the solver=auto production fast path vs the full hierarchy.
 //
 // The paper integrates every photon moment to the present ("up to 10,000
 // moments l ... 75 C90 CPU-hours"); the line-of-sight decomposition
 // (CMBFAST, 1996) evolves a short hierarchy and projects the multipoles
-// afterwards.  Since the run layer grew a `solver = los` switch, this
-// bench is a thin shell over it: two RunPlans sharing one context, the
-// same cl-grid, and the driver's own per-mode CPU accounting.  It
-// reports
+// afterwards.  solver = auto takes that path for every mode at or above
+// boltzmann::kAutoSolverCrossoverK and the full hierarchy below it.
+// This bench is a thin shell over the run layer: RunPlans sharing one
+// context, the same cl-grid, and the driver's own per-mode CPU
+// accounting.  It reports
 //
-//   * per-mode speedup (hierarchy CPU / LOS CPU) grouped by k-decade —
+//   * per-mode speedup (hierarchy CPU / auto CPU) grouped by k-decade —
 //     the fast path's win grows with k tau0, so the highest decade is
 //     the headline number (the accuracy gate's companion claim:
 //     >= 10x per mode at the highest-k decade),
 //   * total CPU and wallclock both ways,
-//   * the worst relative C_l^TT deviation over l (the same comparison
-//     the ctest `accuracy` gate pins per l, here at bench scale).
+//   * the worst relative C_l^TT / C_l^EE / C_l^TE deviation over l (the
+//     same comparison the ctest `accuracy` gate pins per l, here at
+//     bench scale),
+//   * the crossover's own ledger: the modes auto reroutes to the
+//     hierarchy, also evolved here through the short LOS tower they
+//     would otherwise take, so the routing must show it pays.
 //
-// Usage: bench_los [--smoke] [--out FILE]
-//   --smoke   reduced l_max; writes BENCH_los.json to the cwd (ctest
-//             wiring, `check-accuracy` target)
-//   --out     explicit output path (overrides both defaults)
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "boltzmann/los.hpp"
+#include "boltzmann/mode_evolution.hpp"
 #include "common/timing.hpp"
 #include "io/bench_json.hpp"
 #include "run/config.hpp"
@@ -42,7 +44,6 @@ namespace {
 
 struct DecadeCost {
   double cpu_hier = 0.0;
-  double cpu_los = 0.0;
   double cpu_auto = 0.0;
   std::size_t n_modes = 0;
 };
@@ -77,50 +78,51 @@ int main(int argc, char** argv) {
   hier.driver = "autotask";
   hier.workers = 4;
 
-  run::RunConfig los = hier;
-  los.solver = "los";
-  los.los_accuracy = "standard";
-
-  // The k-crossover router: LOS where it wins, hierarchy below the
-  // crossover where the short-tower overhead made solver=los a
-  // regression (the 0.14-0.8x decades in the committed record).
   run::RunConfig aut = hier;
   aut.solver = "auto";
   aut.los_accuracy = "standard";
 
   const auto ctx = run::make_context(hier);
   const run::RunPlan hier_plan(hier, ctx);
-  const run::RunPlan los_plan(los, ctx);
   const run::RunPlan auto_plan(aut, ctx);
-  std::printf("== solver=hierarchy vs solver=los vs solver=auto: "
-              "l_max = %zu, %zu modes ==\n",
+  std::printf("== solver=hierarchy vs solver=auto: l_max = %zu, %zu "
+              "modes ==\n",
               l_max, hier_plan.schedule().size());
 
   double t0 = wallclock_seconds();
   const auto hier_out = hier_plan.execute();
   const double wall_hier = wallclock_seconds() - t0;
   t0 = wallclock_seconds();
-  const auto los_out = los_plan.execute();
-  const double wall_los = wallclock_seconds() - t0;
-  t0 = wallclock_seconds();
   const auto auto_out = auto_plan.execute();
   const double wall_auto = wallclock_seconds() - t0;
+
+  // The crossover's other arm: a mode auto reroutes to the hierarchy
+  // (k below the crossover), evolved the way the LOS branch would —
+  // the short tower plus the shared source sample times.
+  const parallel::LosRunSpec& los = auto_plan.setup().los;
+  const boltzmann::ModeEvolver evolver(ctx->background(),
+                                       ctx->recombination(),
+                                       auto_plan.perturbation(),
+                                       ctx->thermo());
+  const auto short_tower_cpu = [&](double k) {
+    boltzmann::EvolveRequest req;
+    req.k = k;
+    req.lmax_photon = los.lmax_evolve;
+    req.sample_taus = los.sample_taus;
+    return evolver.evolve(req, ctx->conformal_age()).cpu_seconds;
+  };
 
   // Per-mode CPU, grouped by decade of k.  Both plans share the grid,
   // so the result maps are keyed identically.
   std::map<int, DecadeCost> decades;
-  double cpu_hier = 0.0, cpu_los = 0.0, cpu_auto = 0.0;
-  // The routing's own ledger: CPU spent on the modes solver=auto
-  // reroutes (k below the crossover).  Above the crossover auto and
-  // los do identical work, so any difference there is run-ordering
-  // noise — the gate below compares only the rerouted set.
+  double cpu_hier = 0.0, cpu_auto = 0.0;
+  // The routing's own ledger: CPU on just the rerouted modes, under
+  // auto (full hierarchy) and through the short tower.
   double cpu_los_rerouted = 0.0, cpu_auto_rerouted = 0.0;
-  bool complete = hier_out.results.size() == los_out.results.size() &&
-                  hier_out.results.size() == auto_out.results.size();
+  bool complete = hier_out.results.size() == auto_out.results.size();
   for (const auto& [ik, rh] : hier_out.results) {
-    const auto it = los_out.results.find(ik);
     const auto ia = auto_out.results.find(ik);
-    if (it == los_out.results.end() || ia == auto_out.results.end()) {
+    if (ia == auto_out.results.end()) {
       complete = false;
       continue;
     }
@@ -128,14 +130,12 @@ int main(int argc, char** argv) {
         static_cast<int>(std::floor(std::log10(rh.k) + 1e-12));
     auto& d = decades[dec];
     d.cpu_hier += rh.cpu_seconds;
-    d.cpu_los += it->second.cpu_seconds;
     d.cpu_auto += ia->second.cpu_seconds;
     d.n_modes += 1;
     cpu_hier += rh.cpu_seconds;
-    cpu_los += it->second.cpu_seconds;
     cpu_auto += ia->second.cpu_seconds;
-    if (rh.k < run::kAutoSolverCrossoverK) {
-      cpu_los_rerouted += it->second.cpu_seconds;
+    if (!boltzmann::los_routes_mode(rh.k)) {
+      cpu_los_rerouted += short_tower_cpu(rh.k);
       cpu_auto_rerouted += ia->second.cpu_seconds;
     }
   }
@@ -148,22 +148,17 @@ int main(int argc, char** argv) {
   const auto spec_hier = run::make_spectra(hier_plan, hier_out, l_max);
   const double proj_hier = wallclock_seconds() - t0;
   t0 = wallclock_seconds();
-  const auto spec_los = run::make_spectra(los_plan, los_out, l_max);
-  const double proj_los = wallclock_seconds() - t0;
-  t0 = wallclock_seconds();
   const auto spec_auto = run::make_spectra(auto_plan, auto_out, l_max);
   const double proj_auto = wallclock_seconds() - t0;
-  double worst_rel = 0.0, worst_rel_auto = 0.0;
+  double worst_rel_auto = 0.0;
   for (std::size_t l = 2; l <= l_max; ++l) {
     const double a = spec_hier.temperature.cl[l] / spec_hier.cobe_factor;
-    const double b = spec_los.temperature.cl[l] / spec_los.cobe_factor;
     const double c = spec_auto.temperature.cl[l] / spec_auto.cobe_factor;
-    worst_rel = std::max(worst_rel, std::abs(b - a) / std::abs(a));
     worst_rel_auto =
         std::max(worst_rel_auto, std::abs(c - a) / std::abs(a));
   }
 
-  // EE/TE arms.  The speed arms above keep their lean polarization
+  // EE/TE arm.  The speed arms above keep their lean polarization
   // towers (the TT speed record's baseline), so their EE is truncated
   // at the tower top and is no reference; the deviation is measured
   // against a dedicated tall-tower hierarchy run over the same k grid
@@ -184,8 +179,7 @@ int main(int argc, char** argv) {
   const auto spec_ref = run::make_spectra(polref_plan, polref_out, l_max);
   const std::size_t l_pol =
       std::min({spec_ref.polarization_l_max,
-                spec_los.polarization_l_max, l_max, std::size_t{160}});
-  double worst_ee = 0.0, worst_te = 0.0;
+                spec_auto.polarization_l_max, l_max, std::size_t{160}});
   double worst_ee_auto = 0.0, worst_te_auto = 0.0;
   if (l_pol >= 2) {
     double peak_ee = 0.0, peak_te = 0.0;
@@ -204,13 +198,6 @@ int main(int argc, char** argv) {
       const double ee_h =
           spec_ref.polarization.cl[l] / spec_ref.cobe_factor;
       const double te_h = spec_ref.cross.cl[l] / spec_ref.cobe_factor;
-      worst_ee = std::max(
-          worst_ee,
-          rel(spec_los.polarization.cl[l] / spec_los.cobe_factor, ee_h,
-              0.01 * peak_ee));
-      worst_te = std::max(
-          worst_te, rel(spec_los.cross.cl[l] / spec_los.cobe_factor,
-                        te_h, 0.01 * peak_te));
       worst_ee_auto = std::max(
           worst_ee_auto,
           rel(spec_auto.polarization.cl[l] / spec_auto.cobe_factor, ee_h,
@@ -222,76 +209,62 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("total CPU: hierarchy %.2f s, LOS %.2f s (%.1fx), "
-              "auto %.2f s (%.1fx); wallclock %.2f / %.2f / %.2f s\n",
-              cpu_hier, cpu_los, cpu_los > 0.0 ? cpu_hier / cpu_los : 0.0,
-              cpu_auto, cpu_auto > 0.0 ? cpu_hier / cpu_auto : 0.0,
-              wall_hier, wall_los, wall_auto);
-  std::printf("worst C_l^TT relative deviation (l <= %zu): los %.4f, "
-              "auto %.4f\n",
-              l_max, worst_rel, worst_rel_auto);
-  std::printf("worst C_l^EE / C_l^TE deviation (l <= %zu): los %.4f / "
-              "%.4f, auto %.4f / %.4f\n",
-              l_pol, worst_ee, worst_te, worst_ee_auto, worst_te_auto);
-  std::printf("three-spectrum projection: hierarchy %.2f s, LOS %.2f s, "
-              "auto %.2f s\n\n",
-              proj_hier, proj_los, proj_auto);
+  const double rerouted_speedup =
+      cpu_auto_rerouted > 0.0 ? cpu_los_rerouted / cpu_auto_rerouted : 0.0;
+  std::printf("total CPU: hierarchy %.2f s, auto %.2f s (%.1fx); "
+              "wallclock %.2f / %.2f s\n",
+              cpu_hier, cpu_auto,
+              cpu_auto > 0.0 ? cpu_hier / cpu_auto : 0.0, wall_hier,
+              wall_auto);
+  std::printf("worst C_l^TT relative deviation (l <= %zu): %.4f\n", l_max,
+              worst_rel_auto);
+  std::printf("worst C_l^EE / C_l^TE deviation (l <= %zu): %.4f / %.4f\n",
+              l_pol, worst_ee_auto, worst_te_auto);
+  std::printf("three-spectrum projection: hierarchy %.2f s, auto %.2f s\n",
+              proj_hier, proj_auto);
+  std::printf("rerouted (k < %.3g) modes: short tower %.3f s, auto "
+              "%.3f s (%.1fx)\n\n",
+              boltzmann::kAutoSolverCrossoverK, cpu_los_rerouted,
+              cpu_auto_rerouted, rerouted_speedup);
 
   io::BenchReport report("los");
   report.add("totals")
       .metric("l_max", static_cast<double>(l_max))
       .metric("n_modes", static_cast<double>(hier_out.results.size()))
       .metric("cpu_seconds_hierarchy", cpu_hier)
-      .metric("cpu_seconds_los", cpu_los)
       .metric("cpu_seconds_auto", cpu_auto)
       .metric("wallclock_seconds_hierarchy", wall_hier)
-      .metric("wallclock_seconds_los", wall_los)
       .metric("wallclock_seconds_auto", wall_auto)
-      .metric("speedup_total",
-              cpu_los > 0.0 ? cpu_hier / cpu_los : 0.0)
       .metric("speedup_total_auto",
               cpu_auto > 0.0 ? cpu_hier / cpu_auto : 0.0)
       .metric("cpu_seconds_los_rerouted_modes", cpu_los_rerouted)
       .metric("cpu_seconds_auto_rerouted_modes", cpu_auto_rerouted)
-      .metric("rerouted_speedup",
-              cpu_auto_rerouted > 0.0
-                  ? cpu_los_rerouted / cpu_auto_rerouted
-                  : 0.0)
-      .metric("worst_cl_rel_error", worst_rel)
+      .metric("rerouted_speedup", rerouted_speedup)
       .metric("worst_cl_rel_error_auto", worst_rel_auto)
       .metric("polarization_l_max", static_cast<double>(l_pol))
       .metric("wallclock_seconds_polarization_reference", wall_polref)
-      .metric("worst_cl_ee_rel_error", worst_ee)
-      .metric("worst_cl_te_rel_error", worst_te)
       .metric("worst_cl_ee_rel_error_auto", worst_ee_auto)
       .metric("worst_cl_te_rel_error_auto", worst_te_auto)
       .metric("projection_seconds_hierarchy", proj_hier)
-      .metric("projection_seconds_los", proj_los)
       .metric("projection_seconds_auto", proj_auto)
       .metric("complete", complete ? 1.0 : 0.0);
 
   std::printf("per-mode speedup by k-decade:\n");
-  std::printf("   decade          modes   hier CPU    LOS CPU   "
-              "speedup   auto CPU   speedup\n");
+  std::printf("   decade          modes   hier CPU   auto CPU   "
+              "speedup\n");
   double speedup_highest = 0.0;
   for (const auto& [dec, d] : decades) {
-    const double speedup =
-        d.cpu_los > 0.0 ? d.cpu_hier / d.cpu_los : 0.0;
     const double speedup_auto =
         d.cpu_auto > 0.0 ? d.cpu_hier / d.cpu_auto : 0.0;
-    speedup_highest = speedup;  // map iterates ascending: last wins
-    std::printf("   1e%+d..1e%+d     %5zu   %8.2f   %8.2f   %6.1fx   "
-                "%8.2f   %6.1fx\n",
-                dec, dec + 1, d.n_modes, d.cpu_hier, d.cpu_los, speedup,
-                d.cpu_auto, speedup_auto);
+    speedup_highest = speedup_auto;  // map iterates ascending: last wins
+    std::printf("   1e%+d..1e%+d     %5zu   %8.2f   %8.2f   %6.1fx\n", dec,
+                dec + 1, d.n_modes, d.cpu_hier, d.cpu_auto, speedup_auto);
     char name[32];
     std::snprintf(name, sizeof name, "decade_1e%+d", dec);
     report.add(name)
         .label("k_decade", std::to_string(dec))
         .metric("n_modes", static_cast<double>(d.n_modes))
         .metric("cpu_seconds_hierarchy", d.cpu_hier)
-        .metric("cpu_seconds_los", d.cpu_los)
-        .metric("speedup", speedup)
         .metric("cpu_seconds_auto", d.cpu_auto)
         .metric("speedup_auto", speedup_auto);
   }
@@ -305,51 +278,36 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", written.c_str());
 
   // Structural gates (both scales): every mode present both ways, and
-  // the deviation within the same ceiling the accuracy gate enforces.
+  // every deviation within the ceiling the accuracy gate enforces.
   if (!complete) {
     std::fprintf(stderr, "FAIL: mode sets differ between solvers\n");
     return 1;
   }
-  if (!(worst_rel < 0.20)) {
-    std::fprintf(stderr, "FAIL: C_l deviation %.3f exceeds 0.20\n",
-                 worst_rel);
-    return 1;
-  }
-  // solver=auto only reroutes modes, so it can never be less accurate
-  // than pure LOS, and the rerouted low-k modes must not cost more in
-  // total than the LOS path they replaced (5% scheduler-noise margin).
   if (!(worst_rel_auto < 0.20)) {
     std::fprintf(stderr, "FAIL: auto C_l deviation %.3f exceeds 0.20\n",
                  worst_rel_auto);
     return 1;
   }
-  // The polarization arms ride the same ceiling: the fast path must
+  // The polarization arm rides the same ceiling: the fast path must
   // not ship EE/TE columns it cannot defend.
   if (l_pol < 2) {
     std::fprintf(stderr, "FAIL: no common polarization reach\n");
     return 1;
   }
-  if (!(worst_ee < 0.20 && worst_te < 0.20 && worst_ee_auto < 0.20 &&
-        worst_te_auto < 0.20)) {
-    std::fprintf(stderr,
-                 "FAIL: EE/TE deviation (los %.3f/%.3f, auto %.3f/%.3f) "
-                 "exceeds 0.20\n",
-                 worst_ee, worst_te, worst_ee_auto, worst_te_auto);
+  if (!(worst_ee_auto < 0.20 && worst_te_auto < 0.20)) {
+    std::fprintf(stderr, "FAIL: EE/TE deviation %.3f/%.3f exceeds 0.20\n",
+                 worst_ee_auto, worst_te_auto);
     return 1;
   }
+  // The crossover must pay: the rerouted low-k modes may not cost more
+  // under auto's hierarchy than through the short tower they skip.
   if (!(cpu_auto_rerouted <= cpu_los_rerouted)) {
     std::fprintf(stderr,
                  "FAIL: solver=auto spends %.3f s on the rerouted "
-                 "(k < crossover) modes vs %.3f s under solver=los\n",
+                 "(k < crossover) modes vs %.3f s through the short "
+                 "tower\n",
                  cpu_auto_rerouted, cpu_los_rerouted);
     return 1;
   }
-  std::printf("rerouted (k < %.3g) modes: los %.3f s, auto %.3f s "
-              "(%.1fx)\n",
-              run::kAutoSolverCrossoverK, cpu_los_rerouted,
-              cpu_auto_rerouted,
-              cpu_auto_rerouted > 0.0
-                  ? cpu_los_rerouted / cpu_auto_rerouted
-                  : 0.0);
   return 0;
 }

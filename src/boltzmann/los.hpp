@@ -3,7 +3,9 @@
 /// Line-of-sight integration of the temperature transfer function — the
 /// paper's community's next step (it became CMBFAST, Seljak &
 /// Zaldarriaga 1996), promoted here from an ablation bench to the
-/// selectable production fast path (`solver = los` in the run layer).
+/// selectable production fast path (`solver = auto` in the run layer,
+/// which routes every mode at or above kAutoSolverCrossoverK through
+/// it).
 ///
 /// Instead of carrying the photon hierarchy to lmax ~ k tau0, the mode
 /// is evolved with a short hierarchy (the sources only need the first
@@ -18,8 +20,7 @@
 /// quantities in the conformal Newtonian gauge.  The source extraction
 /// and the projection themselves live in the SourceTable layer
 /// (boltzmann/source_table.hpp), which also projects the polarization
-/// moment G_l for C_l^EE/C_l^TE; the los_f_gamma entry points here are
-/// temperature-only wrappers kept for the benches and tests.  The ctest
+/// moment G_l for C_l^EE/C_l^TE.  The ctest
 /// `accuracy` gate (tests/golden/test_accuracy.cpp) pins the per-l
 /// error of every projected spectrum against the full hierarchy so the
 /// fast path cannot silently drift.
@@ -42,6 +43,26 @@ struct LosOptions {
 
   friend bool operator==(const LosOptions&, const LosOptions&) = default;
 };
+
+/// solver=auto routing threshold [1/Mpc]: modes with k below this
+/// evolve the full hierarchy, modes at or above it take the LOS fast
+/// path.  Rerouted modes carry their full per-k polarization tower
+/// (the EE/TE columns must reach as far as the LOS branch projects),
+/// which roughly doubles their state — BENCH_los.json (l_max = 1000)
+/// shows the lifted hierarchy beating the short tower by ~3-5x in the
+/// 1e-5/1e-4 decades (the ~240 source sample times dominate when
+/// lmax_photon_for_k is small).  The decade boundary 0.001 is the
+/// documented crossover; it folds into the store identity of every
+/// line-of-sight journal.
+inline constexpr double kAutoSolverCrossoverK = 0.001;
+
+/// The one routing predicate: does a mode of wavenumber k take the
+/// line-of-sight branch of a solver=auto run?  The drivers' request
+/// shaping and the run layer's cost model both ask it, so the cost
+/// estimate can never drift from the routing it estimates.
+inline bool los_routes_mode(double k) {
+  return k >= kAutoSolverCrossoverK;
+}
 
 /// Smallest short hierarchy the LOS sources tolerate: the monopole,
 /// dipole, and quadrupole feed the source terms directly and the
@@ -97,23 +118,5 @@ class BesselTable {
   std::vector<double> j_;   ///< node-major: j_[i*(l_max+1) + l]
   std::vector<double> jp_;  ///< node-major derivatives, same layout
 };
-
-/// Project Theta_l(k, tau0) for l = 0..l_max from a mode evolution that
-/// recorded TransferSamples at los_sample_taus().  Returns F_l = 4
-/// Theta_l in the MB95 convention so the result feeds ClAccumulator
-/// exactly like ModeResult::f_gamma does.  This overload evaluates the
-/// Bessel functions directly per sample (the reference path).
-std::vector<double> los_f_gamma(const cosmo::Background& bg,
-                                const cosmo::Recombination& rec,
-                                const ModeResult& mode,
-                                std::size_t l_max);
-
-/// The production fast path: identical projection, but j_l comes from a
-/// shared BesselTable (built once per run).  Requires l_max <=
-/// table.l_max() and every sample's argument within the table range.
-std::vector<double> los_f_gamma(const cosmo::Background& bg,
-                                const cosmo::Recombination& rec,
-                                const ModeResult& mode, std::size_t l_max,
-                                const BesselTable& table);
 
 }  // namespace plinger::boltzmann

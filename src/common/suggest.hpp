@@ -4,7 +4,7 @@
 ///
 /// Every user-facing key=value surface in the tree wants the same
 /// diagnostic: an unknown key or enum value is reported together with
-/// the closest known candidate, so `sover = los` becomes actionable
+/// the closest known candidate, so `sover = auto` becomes actionable
 /// instead of a silent default.  The helper started life inside the
 /// run-layer config parser; the serve request parser and linger_cli
 /// share this one implementation now.

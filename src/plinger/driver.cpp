@@ -8,10 +8,10 @@
 #include <optional>
 #include <thread>
 
+#include "boltzmann/los.hpp"
 #include "common/timing.hpp"
 #include "cosmo/background.hpp"
 #include "cosmo/thermo_cache.hpp"
-#include "store/identity.hpp"
 #include "store/mode_result_store.hpp"
 
 namespace plinger::parallel {
@@ -64,21 +64,10 @@ StoreBinding bind_store(const cosmo::Background& bg,
                         RunOutput& out, TraceRecorder* recorder) {
   StoreBinding b;
   if (setup.store.path.empty()) return b;
-  // LOS runs write sample-bearing records under an LOS-extended
-  // identity, so a hierarchy journal can never cross-resume here (and
-  // vice versa): the constructor below rejects the mismatch.
-  const store::RunIdentity id =
-      setup.los.enabled
-          ? store::run_identity(
-                bg.params(), cfg, schedule.k_grid(), setup.tau_end,
-                setup.lmax_cap,
-                store::LosIdentity{setup.los.lmax_evolve,
-                                   setup.los.sample_taus,
-                                   setup.los.k_crossover})
-          : store::run_identity(bg.params(), cfg, schedule.k_grid(),
-                                setup.tau_end, setup.lmax_cap);
-  b.store = std::make_unique<store::ModeResultStore>(setup.store, id,
-                                                     schedule.size());
+  // The constructor rejects a journal stamped with any other identity.
+  b.store = std::make_unique<store::ModeResultStore>(
+      setup.store, run_identity(bg.params(), cfg, schedule, setup),
+      schedule.size());
   if (!setup.store.resume || b.store->n_loaded() == 0) return b;
   for (const auto& [ik, r] : b.store->loaded()) {
     if (recorder) {
@@ -98,16 +87,15 @@ StoreBinding bind_store(const cosmo::Background& bg,
   return b;
 }
 
-/// Request shaping shared by the serial and autotask loops: LOS pins
-/// every mode to the short hierarchy and attaches the shared source
-/// sample times; otherwise the historical lmax_cap scaling applies.
-/// solver=auto routes modes below los.k_crossover through the
-/// hierarchy branch — at low k lmax_photon_for_k is already small, so
-/// LOS source sampling costs more than the short hierarchy saves.
+/// Request shaping shared by every driver: an LOS-routed mode is
+/// pinned to the short hierarchy and gets the shared source sample
+/// times; otherwise the historical lmax_cap scaling applies.  Modes
+/// below kAutoSolverCrossoverK take the hierarchy branch — at low k
+/// lmax_photon_for_k is already small, so LOS source sampling costs
+/// more than the short hierarchy saves.
 void shape_request(boltzmann::EvolveRequest& req, const RunSetup& setup,
                    double tau_end) {
-  if (setup.los.enabled &&
-      !(setup.los.k_crossover > 0.0 && req.k < setup.los.k_crossover)) {
+  if (setup.los.enabled && boltzmann::los_routes_mode(req.k)) {
     req.lmax_photon = setup.los.lmax_evolve;
     req.sample_taus = setup.los.sample_taus;
   } else if (setup.lmax_cap > 0.0) {
@@ -162,6 +150,19 @@ void settle_degraded(RunOutput& out) {
 }
 
 }  // namespace
+
+store::RunIdentity run_identity(const cosmo::CosmoParams& params,
+                                const boltzmann::PerturbationConfig& cfg,
+                                const KSchedule& schedule,
+                                const RunSetup& setup) {
+  if (!setup.los.enabled) {
+    return store::run_identity(params, cfg, schedule.k_grid(),
+                               setup.tau_end, setup.lmax_cap);
+  }
+  return store::run_identity(
+      params, cfg, schedule.k_grid(), setup.tau_end, setup.lmax_cap,
+      store::LosIdentity{setup.los.lmax_evolve, setup.los.sample_taus});
+}
 
 RunOutput run_linger_serial(const cosmo::Background& bg,
                             const cosmo::Recombination& rec,

@@ -81,21 +81,17 @@ struct FaultConfig {
   int max_reassignments = 3;
 };
 
-/// Host-side line-of-sight run shaping (solver=los in the run layer):
-/// every request is pinned to the same short hierarchy and the same
-/// source sample times, and the projection happens master-side after
-/// the run.  Never broadcast — the Appendix-A wire carries the sample-
-/// bearing records (plinger/records.hpp version 2) without any
-/// protocol change.
+/// Host-side line-of-sight run shaping (solver=auto in the run layer):
+/// every request at or above boltzmann::kAutoSolverCrossoverK is pinned
+/// to the same short hierarchy and the same source sample times, and
+/// its projection happens master-side after the run; modes below the
+/// crossover evolve the full hierarchy.  Never broadcast — the
+/// Appendix-A wire carries the sample-bearing records
+/// (plinger/records.hpp version 3) without any protocol change.
 struct LosRunSpec {
   bool enabled = false;
-  std::size_t lmax_evolve = 0;       ///< short hierarchy for every mode
+  std::size_t lmax_evolve = 0;       ///< short hierarchy for LOS modes
   std::vector<double> sample_taus;   ///< shared source sample times
-  /// solver=auto: modes with k below this threshold skip the LOS
-  /// shaping and evolve the full hierarchy instead (LOS source
-  /// sampling costs more than the short hierarchy saves at low k).
-  /// 0 routes every mode through LOS (solver=los).
-  double k_crossover = 0.0;
 };
 
 /// Run setup broadcast with tag 1 — "a few quantities ... such as the
@@ -134,8 +130,8 @@ struct RunSetup {
   std::shared_ptr<const cosmo::ThermoCache> thermo;
 
   /// Host-side line-of-sight shaping; never broadcast.  When enabled,
-  /// the drivers pin every request to los.lmax_evolve and attach
-  /// los.sample_taus, and lmax_cap shaping is bypassed.
+  /// the drivers pin every LOS-routed request to los.lmax_evolve and
+  /// attach los.sample_taus, bypassing lmax_cap shaping for it.
   LosRunSpec los;
 
   std::array<double, 5> to_buffer() const;

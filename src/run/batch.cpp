@@ -24,7 +24,8 @@ namespace {
 /// the conformal age (contexts are built lazily, per cosmology, by the
 /// jobs themselves), so the `cl` grid is approximated with the
 /// Einstein-de-Sitter age tau0 ~ 2/H0 — relative ordering is all that
-/// matters here.
+/// matters here.  Per-mode work is RunPlan's own mode_cost(), so a
+/// solver=auto job is costed by the towers it actually evolves.
 double cost_hint(const RunConfig& cfg) {
   const double tau0 =
       2.0 * plinger::constants::hubble_distance_mpc / cfg.h;
@@ -41,11 +42,10 @@ double cost_hint(const RunConfig& cfg) {
     grid = math::logspace(cfg.k_min, cfg.k_max, cfg.n_k);
   }
   const auto cap = static_cast<std::size_t>(cfg.lmax_cap);
+  const std::size_t lmax_evolve =
+      cfg.solver == "auto" ? cfg.los_options().lmax_evolve : 0;
   double cost = 0.0;
-  for (double k : grid) {
-    cost += (k * tau0 + 60.0) *
-            static_cast<double>(boltzmann::lmax_photon_for_k(k, tau0, cap));
-  }
+  for (double k : grid) cost += mode_cost(k, tau0, cap, lmax_evolve);
   return cost;
 }
 

@@ -200,15 +200,15 @@ const KeyImpl kKeys[] = {
     // --- solver ---
     PLINGER_KEY_CHOICE("solver", solver, "hierarchy",
                        "hierarchy (full Boltzmann tower, the golden "
-                       "reference) / los (short hierarchy + line-of-"
-                       "sight projection; held to the hierarchy by the "
-                       "ctest accuracy gate) / auto (los above the "
-                       "k-crossover where it wins, hierarchy below)",
-                       "hierarchy", "los", "auto"),
+                       "reference) / auto (short hierarchy + line-of-"
+                       "sight projection above the k-crossover, "
+                       "hierarchy below; held to the hierarchy by the "
+                       "ctest accuracy gate)",
+                       "hierarchy", "auto"),
     PLINGER_KEY_CHOICE("los_accuracy", los_accuracy, "standard",
                        "LOS sampling tier: draft / standard / high "
                        "(sets lmax_evolve and the source sample "
-                       "counts; solver = los only)",
+                       "counts; solver = auto only)",
                        "draft", "standard", "high"),
     PLINGER_KEY_DOUBLE("tca_eps", tca_eps, "0.008",
                        "tight-coupling exit threshold (smaller = exit "
@@ -328,19 +328,19 @@ void RunConfig::validate() const {
   PLINGER_REQUIRE(lmax_neutrino >= 4, "lmax_neutrino must be >= 4");
   PLINGER_REQUIRE(tau_end >= 0.0, "tau_end must be >= 0 (0 = conformal age)");
   PLINGER_REQUIRE(lmax_cap >= 12.0, "lmax_cap must be >= 12");
-  require_choice("solver", solver, {"hierarchy", "los", "auto"});
+  require_choice("solver", solver, {"hierarchy", "auto"});
   require_choice("los_accuracy", los_accuracy,
                  {"draft", "standard", "high"});
   require_choice("integrator", integrator, {"dverk", "dop853"});
   PLINGER_REQUIRE(tca_eps > 0.0 && tca_eps <= 0.1,
                   "tca_eps out of range (0, 0.1]");
-  if (solver == "los" || solver == "auto") {
+  if (solver == "auto") {
     const boltzmann::LosOptions lopts = los_options();
     boltzmann::validate_los_options(lopts);
     // The short hierarchy replaces lmax_photon per mode, so the
     // polarization tower must fit under it, not under lmax_photon.
     PLINGER_REQUIRE(lmax_polarization <= lopts.lmax_evolve,
-                    "solver = los: lmax_polarization exceeds the los_"
+                    "solver = auto: lmax_polarization exceeds the los_"
                     "accuracy tier's lmax_evolve");
   }
   PLINGER_REQUIRE(workers >= 1, "workers must be >= 1");

@@ -87,12 +87,12 @@ struct RunConfig {
   double lmax_cap = 12000;  ///< k-dependent photon hierarchy cap
 
   // --- solver ---
-  /// hierarchy (full Boltzmann tower, the golden reference) | los
-  /// (short hierarchy + line-of-sight projection; the fast path, held
-  /// to the hierarchy by the ctest `accuracy` gate) | auto (los above
-  /// the kAutoSolverCrossoverK wavenumber, hierarchy — with the full
-  /// per-k polarization tower — below, fixing the low-k decades where
-  /// LOS source sampling costs more than the short hierarchy saves).
+  /// hierarchy (full Boltzmann tower, the golden reference) | auto
+  /// (the fast path, held to the hierarchy by the ctest `accuracy`
+  /// gate: short hierarchy + line-of-sight projection at and above the
+  /// boltzmann::kAutoSolverCrossoverK wavenumber, the hierarchy — with
+  /// the full per-k polarization tower — below it, where LOS source
+  /// sampling costs more than the short hierarchy saves).
   std::string solver = "hierarchy";
   std::string los_accuracy = "standard";  ///< draft | standard | high
   /// Tight-coupling exit threshold; the PerturbationConfig default.
@@ -156,7 +156,7 @@ struct RunConfig {
   cosmo::Recombination::Options recombination_options() const;
 
   /// Materialize the line-of-sight options named by `los_accuracy`
-  /// (meaningful when solver = los).
+  /// (meaningful when solver = auto).
   boltzmann::LosOptions los_options() const;
 
   /// The schedule issue order named by `order`.

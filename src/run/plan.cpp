@@ -25,6 +25,15 @@ std::vector<double> materialize_grid(const RunConfig& cfg,
 
 }  // namespace
 
+double mode_cost(double k, double tau0, std::size_t lmax_cap,
+                 std::size_t lmax_evolve) {
+  const std::size_t lmax =
+      (lmax_evolve > 0 && boltzmann::los_routes_mode(k))
+          ? lmax_evolve
+          : boltzmann::lmax_photon_for_k(k, tau0, lmax_cap);
+  return (k * tau0 + 60.0) * static_cast<double>(lmax);
+}
+
 RunPlan::RunPlan(RunConfig cfg, std::shared_ptr<const RunContext> ctx)
     : cfg_(std::move(cfg)),
       ctx_(std::move(ctx)),
@@ -44,44 +53,28 @@ RunPlan::RunPlan(RunConfig cfg, std::shared_ptr<const RunContext> ctx)
   // setup_.rtol stays at its wire default: the integrator tolerance is
   // carried by the perturbation config (the historical wiring), and the
   // broadcast slot is a worker cross-check only.
-  if (cfg_.solver == "los" || cfg_.solver == "auto") {
+  if (cfg_.solver == "auto") {
     const boltzmann::LosOptions lopts = cfg_.los_options();
     setup_.los.enabled = true;
     setup_.los.lmax_evolve = lopts.lmax_evolve;
     setup_.los.sample_taus = boltzmann::los_sample_taus(
         ctx_->background(), ctx_->recombination(), lopts);
-    if (cfg_.solver == "auto") setup_.los.k_crossover = kAutoSolverCrossoverK;
   }
 }
 
 store::RunIdentity RunPlan::identity() const {
-  if (setup_.los.enabled) {
-    return store::run_identity(
-        ctx_->params(), pcfg_, schedule_.k_grid(), setup_.tau_end,
-        setup_.lmax_cap,
-        store::LosIdentity{setup_.los.lmax_evolve, setup_.los.sample_taus,
-                           setup_.los.k_crossover});
-  }
-  return store::run_identity(ctx_->params(), pcfg_, schedule_.k_grid(),
-                             setup_.tau_end, setup_.lmax_cap);
+  return parallel::run_identity(ctx_->params(), pcfg_, schedule_, setup_);
 }
 
 double RunPlan::estimated_cost() const {
-  // Integration work per mode ~ (steps) x (state size): steps scale
-  // with k tau0 oscillations, state with the k-dependent photon
-  // hierarchy.  Relative units only — used to order runs in a batch.
+  // Relative units only — used to order runs in a batch.
   const double tau0 = ctx_->conformal_age();
   const auto cap = static_cast<std::size_t>(setup_.lmax_cap);
+  const std::size_t lmax_evolve =
+      setup_.los.enabled ? setup_.los.lmax_evolve : 0;
   double cost = 0.0;
   for (double k : schedule_.k_grid()) {
-    // LOS pins every mode to the same short hierarchy; the step count
-    // still scales with the oscillations.
-    const double lmax =
-        setup_.los.enabled
-            ? static_cast<double>(setup_.los.lmax_evolve)
-            : static_cast<double>(
-                  boltzmann::lmax_photon_for_k(k, tau0, cap));
-    cost += (k * tau0 + 60.0) * lmax;
+    cost += mode_cost(k, tau0, cap, lmax_evolve);
   }
   return cost;
 }

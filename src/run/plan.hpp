@@ -22,18 +22,15 @@
 
 namespace plinger::run {
 
-/// solver=auto routing threshold [1/Mpc]: modes with k below this
-/// evolve the full hierarchy, modes at or above it take the LOS fast
-/// path.  Rerouted modes carry their full per-k polarization tower
-/// (the EE/TE columns must reach as far as the LOS branch projects),
-/// which roughly doubles their state — BENCH_los.json (l_max = 1000)
-/// shows the lifted hierarchy still beating LOS by ~3-5x in the
-/// 1e-5/1e-4 decades (the ~240 source sample times dominate when
-/// lmax_photon_for_k is small) but losing the 1e-3 decade it used to
-/// edge out at 0.81x.  The decade boundary 0.001 is the documented
-/// crossover; it folds into the store identity via
-/// LosIdentity::k_crossover.
-inline constexpr double kAutoSolverCrossoverK = 0.001;
+/// Relative integration work of one mode (arbitrary units): steps scale
+/// with the k tau0 oscillations, state with the photon tower the driver
+/// evolves for it.  lmax_evolve > 0 is a solver=auto run's short LOS
+/// tower, taken by exactly the modes boltzmann::los_routes_mode()
+/// sends down the line-of-sight branch; every other mode evolves the
+/// k-dependent hierarchy capped at lmax_cap.  RunPlan::estimated_cost()
+/// and run_batch()'s pre-context issue order both sum this.
+double mode_cost(double k, double tau0, std::size_t lmax_cap,
+                 std::size_t lmax_evolve);
 
 class RunPlan {
  public:
@@ -58,9 +55,10 @@ class RunPlan {
   const parallel::RunSetup& setup() const { return setup_; }
 
   /// The checkpoint-store identity this plan's execution stamps on (and
-  /// requires of) a journal — computed from the same materialized
-  /// quantities the drivers hash internally, so a journal written by a
-  /// pre-run-layer entry point with the same physics still matches.
+  /// requires of) a journal — parallel::run_identity() over the same
+  /// materialized quantities the drivers bind their store with, so a
+  /// journal written by a pre-run-layer entry point with the same
+  /// physics still matches.
   store::RunIdentity identity() const;
 
   /// Deterministic relative cost estimate (arbitrary units): per-mode

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 
-#include "boltzmann/los.hpp"
 #include "boltzmann/source_table.hpp"
 #include "common/error.hpp"
 #include "io/ascii_table.hpp"
@@ -28,47 +28,36 @@ SpectrumSet make_spectra(const RunPlan& plan,
   primordial.n_s = plan.config().n_s;
   spectra::ClAccumulator acc(l_max, primordial);
   const parallel::KSchedule& schedule = plan.schedule();
-  if (plan.setup().los.enabled) {
-    // The master-side half of solver = los: build each mode's
-    // SourceTable from the recorded samples and project temperature
-    // AND polarization through one shared Bessel table, so C_l^EE and
-    // C_l^TE ride the fast path with C_l^TT.
-    double x_max = 1.0;
-    for (const auto& [ik, r] : out.results) {
-      (void)ik;
-      x_max = std::max(x_max, r.k * r.tau_end);
+  // Modes that carry source samples took the line-of-sight branch:
+  // build each one's SourceTable and project temperature AND
+  // polarization through one shared Bessel table, master-side.  Every
+  // other mode (solver=hierarchy, or below the solver=auto crossover)
+  // already holds its exact F_l / G_l moments.
+  bool projects = false;
+  double x_max = 1.0;
+  for (const auto& [ik, r] : out.results) {
+    (void)ik;
+    projects = projects || !r.samples.empty();
+    x_max = std::max(x_max, r.k * r.tau_end);
+  }
+  std::optional<boltzmann::BesselTable> table;
+  if (projects) table.emplace(l_max + 1, x_max);
+  const cosmo::Background& bg = plan.context().background();
+  const cosmo::Recombination& rec = plan.context().recombination();
+  for (const auto& [ik, r] : out.results) {
+    const double w = schedule.weight_of_ik(ik);
+    boltzmann::ProjectedMode projected;
+    if (!r.samples.empty()) {
+      projected = boltzmann::project_source_table(
+          boltzmann::build_source_table(bg, rec, r), l_max, *table);
     }
-    const boltzmann::BesselTable table(l_max + 1, x_max);
-    const cosmo::Background& bg = plan.context().background();
-    const cosmo::Recombination& rec = plan.context().recombination();
-    for (const auto& [ik, r] : out.results) {
-      const double w = schedule.weight_of_ik(ik);
-      if (r.samples.empty()) {
-        // solver=auto routed this mode through the full hierarchy (k
-        // below the crossover): its F_l / G_l moments are exact, no
-        // projection needed, and each spectrum keeps its per-mode
-        // routing (the G tower is the configured lmax_polarization,
-        // which bounds this mode's polarization reach).
-        acc.add_mode(r.k, w, r.f_gamma);
-        acc.add_mode_polarization(r.k, w, r.g_gamma);
-        acc.add_mode_cross(r.k, w, r.f_gamma, r.g_gamma);
-        continue;
-      }
-      const boltzmann::SourceTable src =
-          boltzmann::build_source_table(bg, rec, r);
-      const boltzmann::ProjectedMode pm =
-          boltzmann::project_source_table(src, l_max, table);
-      acc.add_mode(r.k, w, pm.f_gamma);
-      acc.add_mode_polarization(r.k, w, pm.g_gamma);
-      acc.add_mode_cross(r.k, w, pm.f_gamma, pm.g_gamma);
-    }
-  } else {
-    for (const auto& [ik, r] : out.results) {
-      const double w = schedule.weight_of_ik(ik);
-      acc.add_mode(r.k, w, r.f_gamma);
-      acc.add_mode_polarization(r.k, w, r.g_gamma);
-      acc.add_mode_cross(r.k, w, r.f_gamma, r.g_gamma);
-    }
+    const std::vector<double>& f =
+        r.samples.empty() ? r.f_gamma : projected.f_gamma;
+    const std::vector<double>& g =
+        r.samples.empty() ? r.g_gamma : projected.g_gamma;
+    acc.add_mode(r.k, w, f);
+    acc.add_mode_polarization(r.k, w, g);
+    acc.add_mode_cross(r.k, w, f, g);
   }
   // Silent-zero fence: a run that produced modes but never reached an
   // l >= 2 polarization contribution would hand the caller EE/TE
@@ -77,7 +66,7 @@ SpectrumSet make_spectra(const RunPlan& plan,
   if (acc.modes_added() > 0 && acc.polarization_l_max() < 2) {
     throw Error(std::string("make_spectra: no polarization sources "
                             "reached l >= 2 under solver=") +
-                (plan.setup().los.enabled ? "los" : "hierarchy") +
+                plan.config().solver +
                 " — C_l^EE/C_l^TE would be silently zero (check "
                 "lmax_polarization and the mode results' G towers)");
   }

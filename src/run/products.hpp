@@ -29,8 +29,8 @@ struct SpectrumSet {
   double cobe_factor = 1.0;  ///< the normalization applied (feeds P(k))
   std::size_t modes_used = 0;
   /// Highest l the polarization/cross columns are actually populated to
-  /// (the tallest G tower the accumulator saw; l_max under solver=los).
-  /// Entries above it are structural zeros, not physics.
+  /// (the tallest G tower the accumulator saw; l_max once any mode is
+  /// projected).  Entries above it are structural zeros, not physics.
   std::size_t polarization_l_max = 0;
 };
 
@@ -46,11 +46,13 @@ parallel::RunOutput output_from_results(
 /// temperature quadrupole to COBE (q_rms_ps in Kelvin; the paper's
 /// 18 uK default).  l_max = 0 takes the plan's l_max.
 ///
-/// Under solver = los, each mode's SourceTable is projected here,
-/// master-side, via a shared BesselTable (boltzmann/source_table.hpp):
-/// F_l with the Pi correction folded into the quadrupole source, and
-/// G_l from the E-mode kernel, so C_l^EE/C_l^TE ride the fast path.
-/// The projection is deterministic, so a resumed LOS run reproduces an
+/// Every mode that carries source samples (the LOS-routed modes of a
+/// solver = auto run) has its SourceTable projected here, master-side,
+/// via a shared BesselTable (boltzmann/source_table.hpp): F_l with the
+/// Pi correction folded into the quadrupole source, and G_l from the
+/// E-mode kernel, so C_l^EE/C_l^TE ride the fast path.  Every other
+/// mode is accumulated from its evolved moments directly.  The
+/// projection is deterministic, so a resumed run reproduces an
 /// uninterrupted one bit for bit.  A run whose modes never carry an
 /// l >= 2 polarization contribution is refused (no silent zero EE/TE);
 /// SpectrumSet::polarization_l_max marks the honest coverage.

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "boltzmann/config.hpp"
+#include "boltzmann/los.hpp"
 #include "cosmo/params.hpp"
 
 namespace plinger::store {
@@ -106,17 +107,15 @@ RunIdentity run_identity(const cosmo::CosmoParams& params,
   for (const double t : los.sample_taus) h.add(t);
   // solver=auto: modes below the crossover carry hierarchy-shaped
   // records inside an otherwise-LOS journal, so the routing threshold
-  // is part of the identity.  Hashed only when set, preserving every
-  // existing solver=los stamp (k_crossover = 0).
-  if (los.k_crossover > 0.0) {
-    h.add(std::uint64_t{4});  // auto-routing salt
-    h.add(los.k_crossover);
-    // Rerouted-mode polarization lift: the router now evolves each
-    // below-crossover mode's G tower to its full photon tower, so
-    // journals recorded before the lift carry shorter towers and must
-    // refuse resume rather than mix polarization reaches.
-    h.add(std::uint64_t{5});
-  }
+  // is part of the identity.  A journal written without it (the
+  // retired every-mode-LOS solver) stamps differently and is refused.
+  h.add(std::uint64_t{4});  // auto-routing salt
+  h.add(boltzmann::kAutoSolverCrossoverK);
+  // Rerouted-mode polarization lift: the router evolves each
+  // below-crossover mode's G tower to its full photon tower, so
+  // journals recorded before the lift carry shorter towers and must
+  // refuse resume rather than mix polarization reaches.
+  h.add(std::uint64_t{5});
   return RunIdentity{h.digest()};
 }
 

@@ -12,9 +12,10 @@
 /// (the driver-equivalence sweep holds this bitwise), so a store written
 /// largest-first may be resumed natural-order and vice versa.
 ///
-/// The canonical producer of these inputs is the run layer:
-/// run::RunPlan::identity() materializes a RunConfig and calls
-/// run_identity() with the exact values its execute() hands the driver.
+/// The one derivation from a run's inputs is the driver layer's
+/// parallel::run_identity(params, cfg, schedule, setup): every driver
+/// binds its journal through it, and run::RunPlan::identity() reports
+/// it for the exact values its execute() hands the driver.
 /// tests/run/test_equivalence.cpp pins both the agreement with the
 /// legacy hand-rolled wiring and the hash value itself, so journals
 /// written by pre-RunConfig entry points keep resuming.
@@ -53,25 +54,22 @@ RunIdentity run_identity(const cosmo::CosmoParams& params,
 /// zero polarization sources into E-mode spectra.
 inline constexpr std::uint64_t kLosRecordVersion = 3;
 
-/// The line-of-sight inputs that shape a solver=los run's records: the
-/// short-hierarchy size every request is pinned to and the shared source
-/// sample times.  Hashed on top of the base identity so a journal of
-/// sample-bearing records can never cross-resume with a hierarchy
-/// journal (or with an LOS journal of different sampling or record
-/// version).
+/// The line-of-sight inputs that shape a solver=auto run's records: the
+/// short-hierarchy size every LOS-routed request is pinned to and the
+/// shared source sample times.  Hashed on top of the base identity so a
+/// journal of sample-bearing records can never cross-resume with a
+/// hierarchy journal (or with an LOS journal of different sampling or
+/// record version).
 struct LosIdentity {
   std::size_t lmax_evolve = 0;
   std::span<const double> sample_taus;
-  /// solver=auto routing threshold: modes with k below this evolve the
-  /// full hierarchy (no samples) inside an LOS journal.  0 = pure LOS
-  /// (the historical stamp, unchanged).
-  double k_crossover = 0.0;
 };
 
 /// Identity of a line-of-sight run: the base hash over the same inputs,
-/// extended with an LOS salt and the LosIdentity fields.  The base
-/// overload is untouched, so every existing hierarchy journal keeps its
-/// stamp and keeps resuming.
+/// extended with an LOS salt, the LosIdentity fields and the solver=auto
+/// routing (boltzmann::kAutoSolverCrossoverK plus the rerouted-mode
+/// polarization lift).  The base overload is untouched, so every
+/// existing hierarchy journal keeps its stamp and keeps resuming.
 RunIdentity run_identity(const cosmo::CosmoParams& params,
                          const boltzmann::PerturbationConfig& cfg,
                          std::span<const double> k_grid, double tau_end,

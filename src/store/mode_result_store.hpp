@@ -17,11 +17,12 @@
 /// versions distinguished by payload preamble slot y[7] (see
 /// plinger/records.hpp): the classic hierarchy record (y[7] = 0,
 /// bit-identical to every journal ever written) and the sample-bearing
-/// LOS record (y[7] = 2) that appends the TransferSamples recorded at
-/// los_sample_taus().  A journal holds one family or the other, never a
-/// mix: solver=los runs stamp an LOS-extended identity
-/// (store/identity.hpp), so a hierarchy run opening an LOS journal — or
-/// vice versa — fails with StoreIdentityMismatch instead of resuming.
+/// LOS record (y[7] = 3) that appends the TransferSamples recorded at
+/// los_sample_taus().  solver=auto journals hold both (hierarchy
+/// records below kAutoSolverCrossoverK) under an LOS-extended identity
+/// (store/identity.hpp), so a hierarchy run opening an auto journal —
+/// or vice versa — fails with StoreIdentityMismatch instead of
+/// resuming.
 ///
 /// Every record uses the io/fortran_binary length framing, i.e. the
 /// journal is a valid unit_2-style stream with one extra leading record
@@ -92,7 +93,7 @@ struct JournalScan {
   std::vector<std::size_t> iks;      ///< journal order, duplicates kept
   std::uint64_t good_bytes = 0;      ///< prefix ending at the last good record
   bool torn_tail = false;            ///< trailing bytes past good_bytes
-  std::size_t n_los_records = 0;     ///< sample-bearing (version-2) records
+  std::size_t n_los_records = 0;     ///< sample-bearing (version-3) records
 };
 
 class ModeResultStore {

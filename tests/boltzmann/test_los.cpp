@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "boltzmann/source_table.hpp"
 #include "common/error.hpp"
 #include "math/bessel.hpp"
 
@@ -61,7 +62,8 @@ TEST(LineOfSight, MatchesFullBoltzmannAtPercentLevel) {
   los_req.lmax_photon = 40;
   los_req.sample_taus = w.taus;
   const auto los_mode = ev.evolve(los_req);
-  const auto f_los = pb::los_f_gamma(w.bg, w.rec, los_mode, 220);
+  const auto src = pb::build_source_table(w.bg, w.rec, los_mode);
+  const auto f_los = pb::project_source_table(src, 220).f_gamma;
 
   // Compare where Theta_l is not near a zero crossing.
   int checked = 0;
@@ -96,7 +98,7 @@ TEST(LineOfSight, RequiresSources) {
   pb::ModeResult empty;
   empty.k = 0.01;
   empty.tau_end = w.bg.conformal_age();
-  EXPECT_THROW(pb::los_f_gamma(w.bg, w.rec, empty, 50),
+  EXPECT_THROW(pb::build_source_table(w.bg, w.rec, empty),
                plinger::InvalidArgument);
 }
 
@@ -182,7 +184,7 @@ TEST(LineOfSight, TooFewSourceSamplesErrorsCleanly) {
   mode.k = 0.01;
   mode.tau_end = w.bg.conformal_age();
   mode.samples.resize(8);
-  EXPECT_THROW(pb::los_f_gamma(w.bg, w.rec, mode, 50),
+  EXPECT_THROW(pb::build_source_table(w.bg, w.rec, mode),
                plinger::InvalidArgument);
 }
 
@@ -209,15 +211,12 @@ TEST(BesselTableTest, RejectsXOutsideTableRange) {
 TEST(BesselTableTest, ProjectionRejectsLmaxAboveTable) {
   // The table overload needs l_max + 1 tabled multipoles (the j_l'
   // recurrence reads one l past the request) and must say which range
-  // the table actually carries.  Checked before the sources are built,
-  // so an empty mode exercises it.
-  const auto& w = world();
-  pb::ModeResult mode;
-  mode.k = 0.01;
-  mode.tau_end = w.bg.conformal_age();
+  // the table actually carries.  Checked before the sources are read,
+  // so an empty table exercises it.
+  const pb::SourceTable src;
   const pb::BesselTable table(20, 10.0);
   const std::string msg = thrown_message(
-      [&] { (void)pb::los_f_gamma(w.bg, w.rec, mode, 20, table); });
+      [&] { (void)pb::project_source_table(src, 20, table); });
   EXPECT_NE(msg.find("above the Bessel table range"), std::string::npos);
 }
 
@@ -248,9 +247,10 @@ TEST(BesselTableTest, TablePathMatchesDirectProjection) {
   const auto mode = ev.evolve(req);
 
   const std::size_t l_max = 120;
-  const auto direct = pb::los_f_gamma(w.bg, w.rec, mode, l_max);
+  const pb::SourceTable src = pb::build_source_table(w.bg, w.rec, mode);
+  const auto direct = pb::project_source_table(src, l_max).f_gamma;
   const pb::BesselTable table(l_max + 1, mode.k * mode.tau_end);
-  const auto tabled = pb::los_f_gamma(w.bg, w.rec, mode, l_max, table);
+  const auto tabled = pb::project_source_table(src, l_max, table).f_gamma;
   ASSERT_EQ(direct.size(), tabled.size());
   double scale = 0.0;
   for (const double v : direct) scale = std::max(scale, std::abs(v));

@@ -122,20 +122,6 @@ TEST(SourceTable, EmodeProjectionMatchesHierarchyGl) {
   EXPECT_GE(checked, 10);
 }
 
-TEST(SourceTable, TemperatureProjectionUnchangedByRefactor) {
-  // los_f_gamma is now a wrapper over the SourceTable pipeline; the
-  // wrapper and the direct call must agree bitwise.
-  const auto& w = world();
-  const auto mode = los_mode(w, 0.02);
-  const auto direct = pb::project_source_table(
-      pb::build_source_table(w.bg, w.rec, mode), 100);
-  const auto wrapped = pb::los_f_gamma(w.bg, w.rec, mode, 100);
-  ASSERT_EQ(wrapped.size(), direct.f_gamma.size());
-  for (std::size_t l = 0; l < wrapped.size(); ++l) {
-    EXPECT_EQ(wrapped[l], direct.f_gamma[l]) << "l=" << l;
-  }
-}
-
 TEST(SourceTable, TableAndDirectBesselPathsAgree) {
   const auto& w = world();
   const auto mode = los_mode(w, 0.02);

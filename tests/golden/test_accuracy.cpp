@@ -1,4 +1,4 @@
-// The solver accuracy gate: solver=los vs solver=hierarchy, per l,
+// The solver accuracy gate: solver=auto vs solver=hierarchy, per l,
 // for all three spectra (TT, EE, TE).
 //
 // The line-of-sight fast path earns its >=10x per-mode speedup by
@@ -11,8 +11,8 @@
 // envelope.  The hierarchy reference evolves a tall polarization tower
 // (clamped per mode to the k-dependent photon tower) so its G_l reach
 // covers the full compared range; the LOS run keeps the production
-// short-tower configuration — the gate measures exactly what a
-// solver=los user gets.
+// short-tower configuration above the crossover — the gate measures
+// exactly what a solver=auto user gets.
 //
 // TT and EE are positive spectra and use plain relative error; TE
 // crosses zero, so its error is normalized by
@@ -126,7 +126,7 @@ const RelErrors& rel_errors(const std::string& preset) {
   hier.lmax_photon = 400;
   hier.lmax_polarization = 400;
   pr::RunConfig los = base_config(preset);
-  los.solver = "los";
+  los.solver = "auto";
   los.los_accuracy = "standard";
   const auto ctx = pr::make_context(hier);
   const pr::SpectrumSet ref = raw_spectra(hier, ctx);

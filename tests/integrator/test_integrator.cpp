@@ -8,8 +8,7 @@
 //    reference well inside the solver accuracy-gate envelope;
 //  * the store identity separates the integrator families: a journal
 //    written under integrator=dop853 is rejected by an
-//    integrator=dverk resume (and vice versa), and solver=auto
-//    journals are rejected by solver=los resumes;
+//    integrator=dverk resume (and vice versa);
 //  * solver=auto routes modes below kAutoSolverCrossoverK through the
 //    full hierarchy (no samples) and the rest through LOS, identically
 //    across drivers;
@@ -29,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "boltzmann/los.hpp"
 #include "boltzmann/mode_evolution.hpp"
 #include "run/config.hpp"
 #include "run/context.hpp"
@@ -349,40 +349,23 @@ TEST(IntegratorIdentity, Dop853JournalRejectedByDverkResume) {
   fs::remove(path2, ec);
 }
 
-TEST(IntegratorIdentity, AutoJournalRejectedByLosResume) {
-  const auto ctx = pr::make_context(auto_config());
-  const std::string path = temp_store("auto");
-
-  pr::RunConfig writer = auto_config();
-  writer.store = path;
-  const pr::RunPlan wplan(writer, ctx);
-  ASSERT_EQ(wplan.execute().results.size(), 7u);
-
-  pr::RunConfig reader = auto_config();
-  reader.solver = "los";
-  reader.store = path;
-  const pr::RunPlan rplan(reader, ctx);
-  EXPECT_NE(wplan.identity().value, rplan.identity().value);
-  EXPECT_THROW(rplan.execute(), ps::StoreIdentityMismatch);
-
-  std::error_code ec;
-  fs::remove(path, ec);
-}
-
 // ---------------------------------------------------------------------
 // solver=auto routing.
 
 TEST(AutoSolver, RoutesModesAroundTheCrossover) {
   const auto ctx = pr::make_context(auto_config());
   const pr::RunPlan plan(auto_config(), ctx);
-  EXPECT_GT(plan.setup().los.k_crossover, 0.0);
+  // The grid straddles the one routing threshold the drivers read.
+  const auto& grid = plan.schedule().k_grid();
+  ASSERT_LT(grid.front(), pb::kAutoSolverCrossoverK);
+  ASSERT_GE(grid.back(), pb::kAutoSolverCrossoverK);
   const auto out = plan.execute();
   ASSERT_EQ(out.results.size(), 7u);
 
   std::size_t hierarchy_routed = 0, los_routed = 0;
   for (const auto& [ik, r] : out.results) {
     (void)ik;
-    if (r.k < pr::kAutoSolverCrossoverK) {
+    if (r.k < pb::kAutoSolverCrossoverK) {
       // Hierarchy branch: exact moments, no recorded sources.
       EXPECT_TRUE(r.samples.empty()) << "k=" << r.k;
       ++hierarchy_routed;

@@ -141,3 +141,36 @@ TEST(RunBatch, InvalidJobConfigIsRejectedBeforeAnyWork) {
                                      {bad, "bad"}};
   EXPECT_THROW(run::run_batch(jobs, {}), InvalidArgument);
 }
+
+TEST(RunBatch, AutoJobIsCostedByTheTowersItEvolves) {
+  // The solver=auto job asks for the larger l_max (more modes) but
+  // evolves the short LOS tower above the crossover, so it is the
+  // cheaper job (about half the hierarchy job's wallclock here) and
+  // must be issued second.  With one executor the first-issued job
+  // builds the shared context: the hierarchy job's cache miss is the
+  // observable issue order.
+  run::RunConfig hier;
+  hier.grid = "cl";
+  hier.l_max = 200;
+  hier.points_per_osc = 1.0;
+  hier.rtol = 1e-4;
+  hier.lmax_polarization = 12;
+  hier.lmax_neutrino = 12;
+  hier.driver = "serial";
+  run::RunConfig fast = hier;
+  fast.solver = "auto";
+  fast.los_accuracy = "draft";
+  fast.l_max = 250;
+  const std::vector<run::BatchJob> jobs = {{fast, "auto"},
+                                           {hier, "hierarchy"}};
+  run::BatchOptions opts;
+  opts.executors = 1;
+  const auto batch = run::run_batch(jobs, opts);
+  ASSERT_EQ(batch.report.jobs.size(), 2u);
+  EXPECT_FALSE(batch.report.jobs[1].context_cache_hit);
+  EXPECT_TRUE(batch.report.jobs[0].context_cache_hit);
+  EXPECT_GT(batch.outputs[0].results.size(),
+            batch.outputs[1].results.size());
+  EXPECT_LT(batch.report.jobs[0].estimated_cost,
+            batch.report.jobs[1].estimated_cost);
+}

@@ -120,7 +120,7 @@ TEST(RunConfig, SolverKeysDefaultToHierarchy) {
 
 TEST(RunConfig, SolverKeysRoundTripExactly) {
   run::RunConfig cfg;
-  cfg.solver = "los";
+  cfg.solver = "auto";
   cfg.los_accuracy = "draft";
   cfg.lmax_polarization = 12;  // must fit draft's 24-moment hierarchy
   cfg.tca_eps = 0.0123456789012345;
@@ -143,15 +143,15 @@ TEST(RunConfig, SolverTyposGetDidYouMeanDiagnostic) {
         << msg;
   }
   try {
-    parse_text("solver = lso\n");
+    parse_text("solver = atuo\n");
     FAIL() << "typo accepted";
   } catch (const InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find("did you mean 'los'?"),
+    EXPECT_NE(std::string(e.what()).find("did you mean 'auto'?"),
               std::string::npos)
         << e.what();
   }
   try {
-    parse_text("solver = los\nlos_accuracy = standart\n");
+    parse_text("solver = auto\nlos_accuracy = standart\n");
     FAIL() << "typo accepted";
   } catch (const InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("did you mean 'standard'?"),
@@ -166,6 +166,18 @@ TEST(RunConfig, SolverTyposGetDidYouMeanDiagnostic) {
     EXPECT_EQ(std::string(e.what()).find("did you mean"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(RunConfig, RetiredLosSolverIsATypedChoiceError) {
+  // solver = los folded into auto; the old value must come back as the
+  // ordinary choice error naming what is left, not crash or run.
+  try {
+    parse_text("solver = los\n");
+    FAIL() << "solver = los accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "solver: 'los' is not one of {hierarchy, auto}");
   }
 }
 
@@ -184,10 +196,10 @@ TEST(RunConfig, SolverValidationRejectsBadCombinations) {
   EXPECT_THROW(parse_text("tca_eps = 0.5\n"), InvalidArgument);
   // draft evolves l <= 24; a 30-moment polarization tower cannot ride
   // a 24-moment photon hierarchy.
-  EXPECT_THROW(parse_text("solver = los\nlos_accuracy = draft\n"
+  EXPECT_THROW(parse_text("solver = auto\nlos_accuracy = draft\n"
                           "lmax_polarization = 30\n"),
                InvalidArgument);
-  EXPECT_NO_THROW(parse_text("solver = los\nlos_accuracy = draft\n"
+  EXPECT_NO_THROW(parse_text("solver = auto\nlos_accuracy = draft\n"
                              "lmax_polarization = 12\n"));
   // The same towers are fine under the full hierarchy.
   EXPECT_NO_THROW(parse_text("lmax_polarization = 30\n"));

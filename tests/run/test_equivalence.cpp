@@ -153,18 +153,29 @@ TEST(RunEquivalence, IdentityHashIsStableAcrossReleases) {
   EXPECT_EQ(plan.identity().value, UINT64_C(0xE0DE65790795AA5C));
 }
 
+TEST(RunEquivalence, AutoIdentityHashIsStableAcrossReleases) {
+  // Pinned solver=auto stamp of small_config(), unchanged since the
+  // rerouted-mode polarization lift: existing auto journals keep
+  // resuming.  Same migration rule as the hierarchy pin above.
+  run::RunConfig cfg = small_config();
+  cfg.solver = "auto";
+  const run::RunPlan plan(cfg, run::make_context(cfg));
+  EXPECT_EQ(plan.identity().value, UINT64_C(0x19D59BDB57C5FB91));
+}
+
 TEST(RunEquivalence, LosIdentityIsDistinctAndLayered) {
-  // solver=los extends the identity (salt + short hierarchy + sample
-  // times) on top of the unchanged base hash: an LOS journal can never
-  // be confused with a hierarchy journal over the same physics, and the
-  // extension composes with the pinned base above rather than moving it.
+  // solver=auto extends the identity (salt + short hierarchy + sample
+  // times + routing) on top of the unchanged base hash: an LOS journal
+  // can never be confused with a hierarchy journal over the same
+  // physics, and the extension composes with the pinned base above
+  // rather than moving it.
   run::RunConfig cfg = small_config();
   cfg.tau_end = 0.0;  // LOS needs the visibility epoch: run to today
   cfg.lmax_cap = 0;
   const auto ctx = run::make_context(cfg);
   const run::RunPlan hier(cfg, ctx);
 
-  cfg.solver = "los";
+  cfg.solver = "auto";
   const run::RunPlan los(cfg, ctx);
   EXPECT_NE(los.identity(), hier.identity());
 

@@ -1,12 +1,12 @@
 // make_spectra products: the polarization contract of the unified
 // SourceTable pipeline.
 //
-// Pinned here: solver=los and solver=auto runs deliver genuinely
-// nonzero C_l^EE / C_l^TE (the fast path projects E sources, not
-// zeros), SpectrumSet::polarization_l_max reports the honest coverage,
-// and a run whose mode results cannot reach an l >= 2 polarization
-// contribution is refused with a diagnostic instead of handing the
-// caller silently-zero EE/TE columns.
+// Pinned here: solver=auto runs — all-LOS grids and grids straddling
+// the crossover — deliver genuinely nonzero C_l^EE / C_l^TE (the fast
+// path projects E sources, not zeros), SpectrumSet::polarization_l_max
+// reports the honest coverage, and a run whose mode results cannot
+// reach an l >= 2 polarization contribution is refused with a
+// diagnostic instead of handing the caller silently-zero EE/TE columns.
 
 #include <cstddef>
 #include <map>
@@ -51,8 +51,10 @@ std::shared_ptr<const pr::RunContext> shared_context() {
 }  // namespace
 
 TEST(MakeSpectraPolarization, LosDeliversNonzeroEeAndTe) {
+  // small_config's grid sits entirely above the crossover: every mode
+  // is projected.
   pr::RunConfig cfg = small_config();
-  cfg.solver = "los";
+  cfg.solver = "auto";
   cfg.los_accuracy = "draft";
   const pr::RunPlan plan(cfg, shared_context());
   const auto out = plan.execute();

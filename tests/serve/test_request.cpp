@@ -59,7 +59,7 @@ TEST(ServeRequest, EmptyBodyIsTheDefaultConfig) {
 TEST(ServeRequest, UnknownKeyIsRefusedWithSuggestion) {
   // The CLI warns and runs anyway; the daemon refuses — a typo must not
   // silently cost a default-valued computation.
-  const auto p = parse("RUN", {"sover = los"});
+  const auto p = parse("RUN", {"sover = auto"});
   ASSERT_FALSE(p.error.empty());
   EXPECT_NE(p.error.find("unrecognized key 'sover'"), std::string::npos);
   EXPECT_NE(p.error.find("did you mean 'solver'"), std::string::npos);
@@ -69,6 +69,14 @@ TEST(ServeRequest, OutOfRangeValueIsRefused) {
   const auto p = parse("RUN", {"rtol = 0"});
   ASSERT_FALSE(p.error.empty());
   EXPECT_NE(p.error.find("rtol"), std::string::npos);
+}
+
+TEST(ServeRequest, RetiredLosSolverIsRefused) {
+  // solver = los folded into auto: a RUN naming it gets the config
+  // layer's typed choice error as its ERR text.
+  const auto p = parse("RUN", {"solver = los", "n_k = 4"});
+  EXPECT_EQ(p.error, "solver: 'los' is not one of {hierarchy, auto}");
+  EXPECT_TRUE(parse("RUN", {"solver = auto", "n_k = 4"}).error.empty());
 }
 
 TEST(ServeRequest, MalformedBodyIsRefused) {

@@ -1,7 +1,8 @@
 // Crash-resume for the sample-bearing (version-3 SourceTable) LOS
-// record type: a solver=los run killed after N checkpoints must resume
-// — through the run layer, for all three drivers — to a C_l^TT bitwise
-// identical to an uninterrupted LOS run.  The "crash" is the same
+// record type: a solver=auto run whose every mode sits above the
+// crossover (so every record carries samples), killed after N
+// checkpoints, must resume — through the run layer, for all three
+// drivers — to a C_l^TT bitwise identical to an uninterrupted run.  The "crash" is the same
 // flush-then-stop hook the hierarchy crash-resume suite uses
 // (StoreOptions::stop_after).
 //
@@ -40,8 +41,9 @@ namespace {
 constexpr std::size_t kNModes = 6;
 constexpr std::size_t kStopAfter = 3;
 
-/// A small but real LOS run: full conformal age (the sources need the
-/// visibility epoch), draft sampling, reduced towers.  Seconds total.
+/// A small but real LOS run: every k above kAutoSolverCrossoverK, full
+/// conformal age (the sources need the visibility epoch), draft
+/// sampling, reduced towers.  Seconds total.
 pr::RunConfig los_config(const std::string& driver) {
   pr::RunConfig cfg;
   cfg.grid = "linear";
@@ -53,7 +55,7 @@ pr::RunConfig los_config(const std::string& driver) {
   cfg.lmax_polarization = 12;
   cfg.lmax_neutrino = 12;
   cfg.rtol = 1e-5;
-  cfg.solver = "los";
+  cfg.solver = "auto";
   cfg.los_accuracy = "draft";
   cfg.driver = driver;
   cfg.workers = 2;
