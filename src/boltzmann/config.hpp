@@ -34,6 +34,12 @@ enum class IntegratorKind { dverk, dop853 };
 /// Numerical controls for the per-mode integration.  The lmax fields are
 /// per-run values; use lmax_photon_for_k() to pick the paper's k-dependent
 /// hierarchy size.
+///
+/// Fields set from a RunConfig key reach the store identity through the
+/// key table (run/config.hpp; n_q follows n_massive_nu).  The others —
+/// lmax_massive_nu, atol, ic_eps, early_a_factor, tca_exit_z — are code,
+/// like the RHS itself: changing one of their defaults changes every
+/// result, so it must bump store::kIdentityVersion.
 struct PerturbationConfig {
   InitialConditionType ic_type = InitialConditionType::adiabatic;
   std::size_t lmax_photon = 128;      ///< photon temperature hierarchy

@@ -18,8 +18,16 @@ namespace {
 /// while the build stays runnable on any x86-64: both clones perform
 /// the identical per-element multiply/subtract sequence (no FMA
 /// contraction), so the results are bitwise independent of which clone
-/// runs.
-__attribute__((target_clones("avx2", "default"))) void
+/// runs.  ThreadSanitizer builds keep only the default clone: the load
+/// time dispatcher (an IFUNC resolver) runs before the TSan runtime is
+/// up and crashes the binary on start.
+#if defined(__SANITIZE_THREAD__)
+#define PLINGER_HIERARCHY_CLONES
+#else
+#define PLINGER_HIERARCHY_CLONES \
+  __attribute__((target_clones("avx2", "default")))
+#endif
+PLINGER_HIERARCHY_CLONES void
 hierarchy_interior_damped(const double* __restrict__ f,
                           double* __restrict__ df,
                           const double* __restrict__ lo,
@@ -30,7 +38,7 @@ hierarchy_interior_damped(const double* __restrict__ f,
   }
 }
 
-__attribute__((target_clones("avx2", "default"))) void
+PLINGER_HIERARCHY_CLONES void
 hierarchy_interior(const double* __restrict__ f, double* __restrict__ df,
                    const double* __restrict__ lo,
                    const double* __restrict__ hi, std::size_t l_begin,

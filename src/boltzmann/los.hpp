@@ -52,8 +52,8 @@ struct LosOptions {
 /// shows the lifted hierarchy beating the short tower by ~3-5x in the
 /// 1e-5/1e-4 decades (the ~240 source sample times dominate when
 /// lmax_photon_for_k is small).  The decade boundary 0.001 is the
-/// documented crossover; it folds into the store identity of every
-/// line-of-sight journal.
+/// documented crossover; it folds into every store identity
+/// (store/identity.hpp).
 inline constexpr double kAutoSolverCrossoverK = 0.001;
 
 /// The one routing predicate: does a mode of wavenumber k take the

@@ -53,21 +53,24 @@ struct StoreBinding {
   }
 };
 
-/// Open the journal named in setup.store (validating the run identity),
-/// mark its modes done in `out`, and build the residual schedule.
-/// Loaded modes appear in the trace as zero-cost spans on the synthetic
-/// "worker 0" (store) row, so reports stay honest: they contribute
-/// completed-mode counts but no busy time, CPU, or flops to this run.
-StoreBinding bind_store(const cosmo::Background& bg,
-                        const boltzmann::PerturbationConfig& cfg,
-                        const KSchedule& schedule, const RunSetup& setup,
+/// Open the journal named in setup.store (checked against
+/// setup.identity), mark its modes done in `out`, and build the
+/// residual schedule.  Loaded modes appear in the trace as zero-cost
+/// spans on the synthetic "worker 0" (store) row, so reports stay
+/// honest: they contribute completed-mode counts but no busy time, CPU,
+/// or flops to this run.
+StoreBinding bind_store(const KSchedule& schedule, const RunSetup& setup,
                         RunOutput& out, TraceRecorder* recorder) {
   StoreBinding b;
   if (setup.store.path.empty()) return b;
+  PLINGER_REQUIRE(setup.identity.value != 0,
+                  "store " + setup.store.path +
+                      ": the run identity is unset (run::RunPlan stamps "
+                      "setup.identity; a direct driver call must set "
+                      "it before checkpointing)");
   // The constructor rejects a journal stamped with any other identity.
   b.store = std::make_unique<store::ModeResultStore>(
-      setup.store, run_identity(bg.params(), cfg, schedule, setup),
-      schedule.size());
+      setup.store, setup.identity, schedule.size());
   if (!setup.store.resume || b.store->n_loaded() == 0) return b;
   for (const auto& [ik, r] : b.store->loaded()) {
     if (recorder) {
@@ -98,17 +101,22 @@ void shape_request(boltzmann::EvolveRequest& req, const RunSetup& setup,
   if (setup.los.enabled && boltzmann::los_routes_mode(req.k)) {
     req.lmax_photon = setup.los.lmax_evolve;
     req.sample_taus = setup.los.sample_taus;
-  } else if (setup.lmax_cap > 0.0) {
+    return;
+  }
+  if (setup.lmax_cap > 0.0) {
     req.lmax_photon = boltzmann::lmax_photon_for_k(
         req.k, tau_end, static_cast<std::size_t>(setup.lmax_cap));
-    if (setup.los.enabled) {
-      // solver=auto reroute: this mode's EE/TE contribution must reach
-      // as far as the LOS branch projects, so the G tower rides the
-      // full per-k photon tower instead of the run-level polarization
-      // setting (G_l is negligible beyond k tau0 — this is
-      // completeness, not extra physics).
-      req.lmax_polarization = req.lmax_photon;
-    }
+  }
+  if (setup.los.enabled) {
+    // solver=auto reroute: this mode's EE/TE contribution must reach
+    // as far as the LOS branch projects, so the G tower rides the
+    // mode's effective photon tower (the evolver's own uncapped
+    // lmax_photon_for_k when lmax_cap = 0) instead of the run-level
+    // polarization setting (G_l is negligible beyond k tau0 — this is
+    // completeness, not extra physics).
+    req.lmax_polarization =
+        req.lmax_photon != 0 ? req.lmax_photon
+                             : boltzmann::lmax_photon_for_k(req.k, tau_end);
   }
 }
 
@@ -151,19 +159,6 @@ void settle_degraded(RunOutput& out) {
 
 }  // namespace
 
-store::RunIdentity run_identity(const cosmo::CosmoParams& params,
-                                const boltzmann::PerturbationConfig& cfg,
-                                const KSchedule& schedule,
-                                const RunSetup& setup) {
-  if (!setup.los.enabled) {
-    return store::run_identity(params, cfg, schedule.k_grid(),
-                               setup.tau_end, setup.lmax_cap);
-  }
-  return store::run_identity(
-      params, cfg, schedule.k_grid(), setup.tau_end, setup.lmax_cap,
-      store::LosIdentity{setup.los.lmax_evolve, setup.los.sample_taus});
-}
-
 RunOutput run_linger_serial(const cosmo::Background& bg,
                             const cosmo::Recombination& rec,
                             const boltzmann::PerturbationConfig& cfg,
@@ -177,8 +172,7 @@ RunOutput run_linger_serial(const cosmo::Background& bg,
     recorder = std::make_unique<TraceRecorder>(setup.trace);
   }
 
-  StoreBinding store =
-      bind_store(bg, cfg, schedule, setup, out, recorder.get());
+  StoreBinding store = bind_store(schedule, setup, out, recorder.get());
   const KSchedule& issue = store.effective(schedule);
 
   // One fused thermo/background cache per run (shared here only with
@@ -231,8 +225,7 @@ RunOutput run_linger_autotask(const cosmo::Background& bg,
   const double tau_end =
       setup.tau_end > 0.0 ? setup.tau_end : bg.conformal_age();
 
-  StoreBinding store =
-      bind_store(bg, cfg, schedule, setup, out, recorder.get());
+  StoreBinding store = bind_store(schedule, setup, out, recorder.get());
   const KSchedule& issue = store.effective(schedule);
 
   // Flatten the issue order once, then hand out items via an atomic
@@ -329,8 +322,7 @@ RunOutput run_plinger_threads(const cosmo::Background& bg,
     }
   }
 
-  StoreBinding store =
-      bind_store(bg, cfg, schedule, setup, out, recorder.get());
+  StoreBinding store = bind_store(schedule, setup, out, recorder.get());
 
   // Worker threads (ranks 1..n).  Exceptions are captured and rethrown
   // on the master thread after join.  All workers share one read-only
@@ -418,9 +410,11 @@ RunOutput run_plinger_tcp(const cosmo::Background& bg,
                           const boltzmann::PerturbationConfig& cfg,
                           const KSchedule& schedule, const RunSetup& setup,
                           mp::TcpWorld& world) {
-  // The master never integrates, so the recombination tables are only
-  // part of the signature for symmetry with the other drivers.
+  // The master never integrates, so the physics inputs are only part of
+  // the signature for symmetry with the other drivers.
+  (void)bg;
   (void)rec;
+  (void)cfg;
   PLINGER_REQUIRE(world.local_rank() == 0,
                   "run_plinger_tcp: the master must hold rank 0");
   const int n_workers = world.size() - 1;
@@ -442,8 +436,7 @@ RunOutput run_plinger_tcp(const cosmo::Background& bg,
     }
   }
 
-  StoreBinding store =
-      bind_store(bg, cfg, schedule, setup, out, recorder.get());
+  StoreBinding store = bind_store(schedule, setup, out, recorder.get());
 
   // Master loop on the calling thread, exactly as in the threads driver;
   // the worker ranks live in other processes behind the sockets.

@@ -23,7 +23,6 @@
 #include "plinger/protocol.hpp"
 #include "plinger/schedule.hpp"
 #include "plinger/trace.hpp"
-#include "store/identity.hpp"
 
 namespace plinger::parallel {
 
@@ -70,16 +69,6 @@ struct RunOutput {
     return static_cast<double>(total_flops) / wallclock_seconds;
   }
 };
-
-/// The checkpoint-store identity a run stamps on (and requires of) its
-/// journal: the base physics hash, extended with the line-of-sight
-/// record family when setup.los is enabled, so hierarchy and LOS
-/// journals never cross-resume.  Every driver binds its store through
-/// this, and run::RunPlan::identity() reports it.
-store::RunIdentity run_identity(const cosmo::CosmoParams& params,
-                                const boltzmann::PerturbationConfig& cfg,
-                                const KSchedule& schedule,
-                                const RunSetup& setup);
 
 /// Serial LINGER run.
 RunOutput run_linger_serial(const cosmo::Background& bg,

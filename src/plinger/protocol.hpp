@@ -40,6 +40,7 @@
 #include "mp/wrappers.hpp"
 #include "plinger/schedule.hpp"
 #include "plinger/trace.hpp"
+#include "store/identity.hpp"
 #include "store/options.hpp"
 
 namespace plinger::cosmo {
@@ -111,6 +112,12 @@ struct RunSetup {
   /// Host-side checkpoint/restart (store/mode_result_store.hpp); also
   /// never broadcast — the master checkpoints, workers are oblivious.
   store::StoreOptions store;
+
+  /// Host-side identity the journal in `store` is stamped with and
+  /// checked against (store/identity.hpp); run::RunPlan fills it.  The
+  /// drivers refuse a non-empty store.path while it is unset (zero).
+  /// Never broadcast.
+  store::RunIdentity identity;
 
   /// Host-side fault handling (stall deadlines, retry/reassignment
   /// bounds); never broadcast.

@@ -42,10 +42,17 @@ double cost_hint(const RunConfig& cfg) {
     grid = math::logspace(cfg.k_min, cfg.k_max, cfg.n_k);
   }
   const auto cap = static_cast<std::size_t>(cfg.lmax_cap);
-  const std::size_t lmax_evolve =
-      cfg.solver == "auto" ? cfg.los_options().lmax_evolve : 0;
+  std::size_t lmax_evolve = 0;
+  std::size_t n_samples = 0;  // los_sample_taus() yields rec + late
+  if (cfg.solver == "auto") {
+    const boltzmann::LosOptions lopts = cfg.los_options();
+    lmax_evolve = lopts.lmax_evolve;
+    n_samples = lopts.n_rec_samples + lopts.n_late_samples;
+  }
   double cost = 0.0;
-  for (double k : grid) cost += mode_cost(k, tau0, cap, lmax_evolve);
+  for (double k : grid) {
+    cost += mode_cost(k, tau0, cap, lmax_evolve, n_samples);
+  }
   return cost;
 }
 

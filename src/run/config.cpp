@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/suggest.hpp"
@@ -78,6 +80,19 @@ void apply_preset(RunConfig& c, const char* key, const std::string& v) {
   c.set_preset(v);
 }
 
+// Identity hashing by value, one overload per field type.
+void hash_field(store::IdentityHasher& h, double v) { h.add(v); }
+void hash_field(store::IdentityHasher& h, std::size_t v) { h.add(v); }
+void hash_field(store::IdentityHasher& h, int v) {
+  h.add(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+}
+void hash_field(store::IdentityHasher& h, bool v) {
+  h.add(std::uint64_t{v ? 1u : 0u});
+}
+void hash_field(store::IdentityHasher& h, const std::string& v) {
+  h.add(std::string_view(v));
+}
+
 using Getter = std::string (*)(const RunConfig&);
 using Setter = void (*)(RunConfig&, const char* key, const std::string&);
 
@@ -87,40 +102,49 @@ struct KeyImpl {
   Setter set;
 };
 
-#define PLINGER_KEY_DOUBLE(key, field, dflt, meaning)                   \
-  KeyImpl{{key, dflt, meaning},                                         \
+// Every row names its KeyRole; the doc part also carries the field's
+// identity-hash accessor.
+#define PLINGER_KEY_DOC(key, field, role, dflt, meaning)                \
+  ConfigKey {                                                           \
+    key, dflt, meaning, KeyRole::role,                                  \
+        [](const RunConfig& c, store::IdentityHasher& h) {              \
+          hash_field(h, c.field);                                       \
+        }                                                               \
+  }
+#define PLINGER_KEY_DOUBLE(key, field, role, dflt, meaning)             \
+  KeyImpl{PLINGER_KEY_DOC(key, field, role, dflt, meaning),             \
           [](const RunConfig& c) { return fmt_double(c.field); },       \
           [](RunConfig& c, const char* k, const std::string& v) {       \
             c.field = parse_double(k, v);                               \
           }}
-#define PLINGER_KEY_SIZE(key, field, dflt, meaning)                     \
-  KeyImpl{{key, dflt, meaning},                                         \
+#define PLINGER_KEY_SIZE(key, field, role, dflt, meaning)               \
+  KeyImpl{PLINGER_KEY_DOC(key, field, role, dflt, meaning),             \
           [](const RunConfig& c) { return fmt_size(c.field); },         \
           [](RunConfig& c, const char* k, const std::string& v) {       \
             c.field = parse_size(k, v);                                 \
           }}
-#define PLINGER_KEY_INT(key, field, dflt, meaning)                      \
-  KeyImpl{{key, dflt, meaning},                                         \
+#define PLINGER_KEY_INT(key, field, role, dflt, meaning)                \
+  KeyImpl{PLINGER_KEY_DOC(key, field, role, dflt, meaning),             \
           [](const RunConfig& c) { return std::to_string(c.field); },   \
           [](RunConfig& c, const char* k, const std::string& v) {       \
             c.field = parse_int(k, v);                                  \
           }}
-#define PLINGER_KEY_BOOL(key, field, dflt, meaning)                     \
-  KeyImpl{{key, dflt, meaning},                                         \
+#define PLINGER_KEY_BOOL(key, field, role, dflt, meaning)               \
+  KeyImpl{PLINGER_KEY_DOC(key, field, role, dflt, meaning),             \
           [](const RunConfig& c) {                                      \
             return std::string(c.field ? "1" : "0");                    \
           },                                                            \
           [](RunConfig& c, const char* k, const std::string& v) {       \
             c.field = parse_bool(k, v);                                 \
           }}
-#define PLINGER_KEY_STRING(key, field, dflt, meaning)                   \
-  KeyImpl{{key, dflt, meaning},                                         \
+#define PLINGER_KEY_STRING(key, field, role, dflt, meaning)             \
+  KeyImpl{PLINGER_KEY_DOC(key, field, role, dflt, meaning),             \
           [](const RunConfig& c) { return c.field; },                   \
           [](RunConfig& c, const char*, const std::string& v) {         \
             c.field = v;                                                \
           }}
-#define PLINGER_KEY_CHOICE(key, field, dflt, meaning, ...)              \
-  KeyImpl{{key, dflt, meaning},                                         \
+#define PLINGER_KEY_CHOICE(key, field, role, dflt, meaning, ...)        \
+  KeyImpl{PLINGER_KEY_DOC(key, field, role, dflt, meaning),             \
           [](const RunConfig& c) { return c.field; },                   \
           [](RunConfig& c, const char* k, const std::string& v) {       \
             require_choice(k, v, {__VA_ARGS__});                        \
@@ -129,147 +153,152 @@ struct KeyImpl {
 
 const KeyImpl kKeys[] = {
     // --- cosmology ---
-    KeyImpl{{"preset", "scdm",
-             "cosmology base: scdm / lcdm / mdm (applied before the "
-             "per-parameter keys below)"},
+    KeyImpl{PLINGER_KEY_DOC("preset", preset, cosmology, "scdm",
+                            "cosmology base: scdm / lcdm / mdm (applied "
+                            "before the per-parameter keys below)"),
             [](const RunConfig& c) { return c.preset; },
             apply_preset},
-    PLINGER_KEY_DOUBLE("h", h, "0.5", "Hubble parameter H0/(100 km/s/Mpc)"),
-    PLINGER_KEY_DOUBLE("omega_b", omega_b, "0.05",
+    PLINGER_KEY_DOUBLE("h", h, cosmology, "0.5",
+                       "Hubble parameter H0/(100 km/s/Mpc)"),
+    PLINGER_KEY_DOUBLE("omega_b", omega_b, cosmology, "0.05",
                        "baryon density (omega_c is derived to close the "
                        "universe)"),
-    PLINGER_KEY_DOUBLE("omega_lambda", omega_lambda, "0",
+    PLINGER_KEY_DOUBLE("omega_lambda", omega_lambda, cosmology, "0",
                        "cosmological constant"),
-    PLINGER_KEY_DOUBLE("omega_nu", omega_nu, "0",
+    PLINGER_KEY_DOUBLE("omega_nu", omega_nu, cosmology, "0",
                        "massive-neutrino density"),
-    PLINGER_KEY_INT("n_massive_nu", n_massive_nu, "0",
+    PLINGER_KEY_INT("n_massive_nu", n_massive_nu, cosmology, "0",
                     "number of degenerate massive neutrino species"),
-    PLINGER_KEY_DOUBLE("n_eff_massless", n_eff_massless, "3",
+    PLINGER_KEY_DOUBLE("n_eff_massless", n_eff_massless, cosmology, "3",
                        "number of massless neutrino species"),
-    PLINGER_KEY_DOUBLE("t_cmb", t_cmb, "2.726", "CMB temperature [K]"),
-    PLINGER_KEY_DOUBLE("y_helium", y_helium, "0.24",
+    PLINGER_KEY_DOUBLE("t_cmb", t_cmb, cosmology, "2.726",
+                       "CMB temperature [K]"),
+    PLINGER_KEY_DOUBLE("y_helium", y_helium, cosmology, "0.24",
                        "primordial helium mass fraction"),
-    PLINGER_KEY_DOUBLE("n_s", n_s, "1.0", "primordial spectral index"),
-    PLINGER_KEY_DOUBLE("z_reion", z_reion, "0",
+    PLINGER_KEY_DOUBLE("n_s", n_s, cosmology, "1.0",
+                       "primordial spectral index"),
+    PLINGER_KEY_DOUBLE("z_reion", z_reion, cosmology, "0",
                        "optional tanh reionization redshift (0 = off)"),
     // --- k-grid ---
-    PLINGER_KEY_CHOICE("grid", grid, "log",
+    PLINGER_KEY_CHOICE("grid", grid, physics, "log",
                        "k-grid kind: log / linear (k_min..k_max, n_k "
                        "points) or cl (the C_l grid, derived from l_max "
                        "and the conformal age)",
                        "log", "linear", "cl"),
-    PLINGER_KEY_DOUBLE("k_min", k_min, "1e-4",
+    PLINGER_KEY_DOUBLE("k_min", k_min, physics, "1e-4",
                        "k-grid lower bound [1/Mpc] (log/linear grids)"),
-    PLINGER_KEY_DOUBLE("k_max", k_max, "0.1",
+    PLINGER_KEY_DOUBLE("k_max", k_max, physics, "0.1",
                        "k-grid upper bound [1/Mpc] (log/linear grids)"),
-    PLINGER_KEY_SIZE("n_k", n_k, "32",
+    PLINGER_KEY_SIZE("n_k", n_k, physics, "32",
                      "number of wavenumbers (log/linear grids)"),
-    PLINGER_KEY_SIZE("l_max", l_max, "300",
+    PLINGER_KEY_SIZE("l_max", l_max, physics, "300",
                      "target multipole of the cl grid (and of the C_l "
                      "product stage)"),
-    PLINGER_KEY_DOUBLE("points_per_osc", points_per_osc, "2.5",
+    PLINGER_KEY_DOUBLE("points_per_osc", points_per_osc, physics, "2.5",
                        "cl grid: k samples per Theta_l oscillation"),
-    PLINGER_KEY_DOUBLE("k_margin", k_margin, "1.25",
+    PLINGER_KEY_DOUBLE("k_margin", k_margin, physics, "1.25",
                        "cl grid: k_max = k_margin * l_max / tau0"),
-    PLINGER_KEY_CHOICE("order", order, "largest",
+    PLINGER_KEY_CHOICE("order", order, operational, "largest",
                        "issue order: largest (the paper's "
                        "largest-k-first) / natural / random",
                        "largest", "natural", "random"),
     // --- integration ---
-    PLINGER_KEY_CHOICE("ic", ic, "adiabatic",
+    PLINGER_KEY_CHOICE("ic", ic, physics, "adiabatic",
                        "initial conditions: adiabatic / isocurvature",
                        "adiabatic", "isocurvature"),
-    PLINGER_KEY_CHOICE("integrator", integrator, "dverk",
+    PLINGER_KEY_CHOICE("integrator", integrator, physics, "dverk",
                        "ODE core: dverk (the paper's Verner 6(5), "
                        "bitwise-stable default) / dop853 (Dormand-"
                        "Prince 8(5,3) with dense-output sampling; fewer "
                        "RHS evals at tight rtol)",
                        "dverk", "dop853"),
-    PLINGER_KEY_DOUBLE("rtol", rtol, "1e-5",
+    PLINGER_KEY_DOUBLE("rtol", rtol, physics, "1e-5",
                        "integrator relative tolerance"),
-    PLINGER_KEY_SIZE("lmax_photon", lmax_photon, "128",
+    PLINGER_KEY_SIZE("lmax_photon", lmax_photon, physics, "128",
                      "photon temperature hierarchy size"),
-    PLINGER_KEY_SIZE("lmax_polarization", lmax_polarization, "32",
+    PLINGER_KEY_SIZE("lmax_polarization", lmax_polarization, physics, "32",
                      "photon polarization hierarchy size"),
-    PLINGER_KEY_SIZE("lmax_neutrino", lmax_neutrino, "32",
+    PLINGER_KEY_SIZE("lmax_neutrino", lmax_neutrino, physics, "32",
                      "massless neutrino hierarchy size"),
-    PLINGER_KEY_DOUBLE("tau_end", tau_end, "0",
+    PLINGER_KEY_DOUBLE("tau_end", tau_end, physics, "0",
                        "end of evolution [Mpc]; 0 = the conformal age"),
-    PLINGER_KEY_DOUBLE("lmax_cap", lmax_cap, "12000",
+    PLINGER_KEY_DOUBLE("lmax_cap", lmax_cap, physics, "12000",
                        "cap on the k-dependent photon hierarchy"),
     // --- solver ---
-    PLINGER_KEY_CHOICE("solver", solver, "hierarchy",
+    PLINGER_KEY_CHOICE("solver", solver, physics, "hierarchy",
                        "hierarchy (full Boltzmann tower, the golden "
                        "reference) / auto (short hierarchy + line-of-"
                        "sight projection above the k-crossover, "
                        "hierarchy below; held to the hierarchy by the "
                        "ctest accuracy gate)",
                        "hierarchy", "auto"),
-    PLINGER_KEY_CHOICE("los_accuracy", los_accuracy, "standard",
+    PLINGER_KEY_CHOICE("los_accuracy", los_accuracy, physics, "standard",
                        "LOS sampling tier: draft / standard / high "
                        "(sets lmax_evolve and the source sample "
                        "counts; solver = auto only)",
                        "draft", "standard", "high"),
-    PLINGER_KEY_DOUBLE("tca_eps", tca_eps, "0.008",
+    PLINGER_KEY_DOUBLE("tca_eps", tca_eps, physics, "0.008",
                        "tight-coupling exit threshold (smaller = exit "
                        "earlier = slower but tighter)"),
     // --- driver ---
-    PLINGER_KEY_CHOICE("driver", driver, "threads",
+    PLINGER_KEY_CHOICE("driver", driver, operational, "threads",
                        "run driver: serial (LINGER) / autotask (shared "
                        "cursor) / threads (PLINGER master+workers)",
                        "serial", "autotask", "threads"),
-    PLINGER_KEY_INT("workers", workers, "2",
+    PLINGER_KEY_INT("workers", workers, operational, "2",
                     "worker ranks or threads (threads driver world size "
                     "is workers + 1)"),
     // --- transport ---
-    PLINGER_KEY_CHOICE("transport", transport, "inproc",
+    PLINGER_KEY_CHOICE("transport", transport, operational, "inproc",
                        "threads-driver message transport: inproc "
                        "(in-process mailboxes) / tcp (cross-process "
                        "sockets; the master listens on tcp_listen and "
                        "plinger_worker processes join it)",
                        "inproc", "tcp"),
-    PLINGER_KEY_STRING("tcp_listen", tcp_listen, "*(empty)*",
+    PLINGER_KEY_STRING("tcp_listen", tcp_listen, operational, "*(empty)*",
                        "transport = tcp, master side: listen endpoint "
                        "host:port (port 0 = kernel-assigned)"),
-    PLINGER_KEY_STRING("tcp_connect", tcp_connect, "*(empty)*",
+    PLINGER_KEY_STRING("tcp_connect", tcp_connect, operational, "*(empty)*",
                        "transport = tcp, worker side: the master "
                        "endpoint host:port a plinger_worker process "
                        "joins"),
-    PLINGER_KEY_INT("tcp_retry", tcp_retry, "1",
+    PLINGER_KEY_INT("tcp_retry", tcp_retry, operational, "1",
                     "worker-side initial-connect attempts (1 = single "
                     "bounded connect; > 1 retries with exponential "
                     "backoff while the master comes up)"),
-    PLINGER_KEY_INT("tcp_backoff_ms", tcp_backoff_ms, "250",
+    PLINGER_KEY_INT("tcp_backoff_ms", tcp_backoff_ms, operational, "250",
                     "sleep before the second connect attempt, doubling "
                     "each further retry (tcp_retry > 1 only)"),
     // --- checkpoint store ---
-    PLINGER_KEY_STRING("store", store, "*(empty)*",
+    PLINGER_KEY_STRING("store", store, operational, "*(empty)*",
                        "checkpoint journal path; empty = no "
                        "checkpointing"),
-    PLINGER_KEY_BOOL("resume", resume, "1",
+    PLINGER_KEY_BOOL("resume", resume, operational, "1",
                      "0 = keep the journal but recompute the full grid "
                      "(first record per mode wins)"),
-    PLINGER_KEY_SIZE("flush_interval", flush_interval, "1",
+    PLINGER_KEY_SIZE("flush_interval", flush_interval, operational, "1",
                      "journal flush cadence in modes (1 = every mode, 0 "
                      "= only on close)"),
-    PLINGER_KEY_SIZE("stop_after", stop_after, "0",
+    PLINGER_KEY_SIZE("stop_after", stop_after, operational, "0",
                      "stop issuing fresh modes after this many "
                      "checkpointed appends (0 = off; budgeted runs)"),
     // --- trace ---
-    PLINGER_KEY_BOOL("trace", trace, "0",
+    PLINGER_KEY_BOOL("trace", trace, operational, "0",
                      "1 = record the per-mode/per-worker timeline and "
                      "print the Figure-1 report"),
-    PLINGER_KEY_STRING("trace_json", trace_json, "linger_trace.json",
+    PLINGER_KEY_STRING("trace_json", trace_json, operational,
+                       "linger_trace.json",
                        "Chrome-trace output path (with trace = 1)"),
     // --- fault tolerance ---
-    PLINGER_KEY_DOUBLE("fault_timeout", fault_timeout, "0",
+    PLINGER_KEY_DOUBLE("fault_timeout", fault_timeout, operational, "0",
                        "per-mode stall deadline scale [s]; 0 disables "
                        "stall detection (death notices still work)"),
-    PLINGER_KEY_INT("max_retries", max_retries, "2",
+    PLINGER_KEY_INT("max_retries", max_retries, operational, "2",
                     "integration-failure retries per mode before it is "
                     "recorded failed"),
 };
 
+#undef PLINGER_KEY_DOC
 #undef PLINGER_KEY_DOUBLE
 #undef PLINGER_KEY_SIZE
 #undef PLINGER_KEY_INT
@@ -467,13 +496,25 @@ std::string config_key_suggestion(const std::string& unknown) {
   return common::closest_within_two(unknown, names);
 }
 
+const char* key_role_name(KeyRole role) {
+  switch (role) {
+    case KeyRole::cosmology:
+      return "cosmology";
+    case KeyRole::physics:
+      return "physics";
+    case KeyRole::operational:
+      return "operational";
+  }
+  return "?";
+}
+
 std::string config_reference_markdown() {
   std::ostringstream os;
-  os << "| key | default | meaning |\n";
-  os << "|-----|---------|---------|\n";
+  os << "| key | role | default | meaning |\n";
+  os << "|-----|------|---------|---------|\n";
   for (const ConfigKey& k : config_keys()) {
-    os << "| `" << k.key << "` | " << k.dflt << " | " << k.meaning
-       << " |\n";
+    os << "| `" << k.key << "` | " << key_role_name(k.role) << " | "
+       << k.dflt << " | " << k.meaning << " |\n";
   }
   return os.str();
 }

@@ -23,12 +23,15 @@
 ///
 /// The pipeline is RunConfig -> RunContext (per-cosmology caches) ->
 /// RunPlan (schedule + driver dispatch) -> RunOutput -> products; see
-/// context.hpp, plan.hpp, products.hpp, batch.hpp.  Everything the
-/// store identity hash covers is derived from this struct (plus the
-/// context's conformal age for `grid = cl`), making RunConfig the
-/// canonical input to store::run_identity — journals written by the
-/// pre-RunConfig entry points still resume, because materialization
-/// reproduces the legacy wiring bit for bit.
+/// context.hpp, plan.hpp, products.hpp, batch.hpp.
+///
+/// The key table is also the one place that decides the run identity
+/// (store/identity.hpp).  Every row carries a KeyRole: `cosmology` rows
+/// key the RunContext cache (RunContext::cosmology_key), `cosmology`
+/// and `physics` rows are hashed into the store identity together with
+/// the derived driver inputs and store::kIdentityVersion
+/// (RunPlan::identity), and `operational` rows are never hashed.  A
+/// key cannot be added without a role.
 
 #include <cstddef>
 #include <span>
@@ -41,6 +44,7 @@
 #include "cosmo/recombination.hpp"
 #include "io/params.hpp"
 #include "plinger/schedule.hpp"
+#include "store/identity.hpp"
 
 namespace plinger::run {
 
@@ -76,8 +80,6 @@ struct RunConfig {
   std::string ic = "adiabatic";  ///< adiabatic | isocurvature
   /// ODE core: dverk (the paper's Verner 6(5), bitwise-stable default)
   /// | dop853 (Dormand-Prince 8(5,3) with dense-output sampling).
-  /// Folds into the store identity — journals written by different
-  /// integrators never cross-resume.
   std::string integrator = "dverk";
   double rtol = 1e-5;
   std::size_t lmax_photon = 128;  ///< per-mode cap; see lmax_cap too
@@ -105,9 +107,8 @@ struct RunConfig {
   // --- transport (threads driver) ---
   /// inproc (in-process mailboxes, the historical world) | tcp
   /// (cross-process sockets: the master listens on tcp_listen and
-  /// workers join from other processes via plinger_worker).  Pure
-  /// scheduling — never part of the store identity; results are
-  /// bitwise identical across transports.
+  /// workers join from other processes via plinger_worker).  Results
+  /// are bitwise identical across transports.
   std::string transport = "inproc";
   std::string tcp_listen;   ///< master listen endpoint host:port
   std::string tcp_connect;  ///< worker-process connect endpoint host:port
@@ -184,15 +185,30 @@ struct ConfigParse {
 /// which this calls last).
 ConfigParse parse_config(const io::KeyValueMap& kv);
 
+/// What a key means to the run identity (store/identity.hpp).
+enum class KeyRole {
+  cosmology,    ///< materializes the RunContext; keys cosmology_key()
+  physics,      ///< grid, integration, solver: shapes the mode results
+  operational,  ///< order, driver, transport, store, trace, faults
+};
+
+/// "cosmology" | "physics" | "operational" (the docs role column).
+const char* key_role_name(KeyRole role);
+
 /// One row of the canonical key table.
 struct ConfigKey {
   const char* key;
   const char* dflt;     ///< default, as rendered in the docs
   const char* meaning;  ///< one-line docs description
+  KeyRole role;
+  /// Feed this key's field of a config into an identity hash, by value
+  /// (no text formatting).
+  void (*hash)(const RunConfig&, store::IdentityHasher&);
 };
 
 /// The canonical key table, in documentation order.  Drives the parser,
-/// the serializer, and the generated docs reference.
+/// the serializer, the generated docs reference, the context cache key
+/// and the store identity.
 std::span<const ConfigKey> config_keys();
 
 /// The docs/operations.md parameter-reference table, generated from

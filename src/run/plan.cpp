@@ -26,12 +26,14 @@ std::vector<double> materialize_grid(const RunConfig& cfg,
 }  // namespace
 
 double mode_cost(double k, double tau0, std::size_t lmax_cap,
-                 std::size_t lmax_evolve) {
-  const std::size_t lmax =
-      (lmax_evolve > 0 && boltzmann::los_routes_mode(k))
-          ? lmax_evolve
-          : boltzmann::lmax_photon_for_k(k, tau0, lmax_cap);
-  return (k * tau0 + 60.0) * static_cast<double>(lmax);
+                 std::size_t lmax_evolve, std::size_t n_samples) {
+  if (lmax_evolve > 0 && boltzmann::los_routes_mode(k)) {
+    return (k * tau0 + 60.0 + static_cast<double>(n_samples)) *
+           static_cast<double>(lmax_evolve);
+  }
+  return (k * tau0 + 60.0) *
+         static_cast<double>(
+             boltzmann::lmax_photon_for_k(k, tau0, lmax_cap));
 }
 
 RunPlan::RunPlan(RunConfig cfg, std::shared_ptr<const RunContext> ctx)
@@ -60,10 +62,17 @@ RunPlan::RunPlan(RunConfig cfg, std::shared_ptr<const RunContext> ctx)
     setup_.los.sample_taus = boltzmann::los_sample_taus(
         ctx_->background(), ctx_->recombination(), lopts);
   }
-}
 
-store::RunIdentity RunPlan::identity() const {
-  return parallel::run_identity(ctx_->params(), pcfg_, schedule_, setup_);
+  store::IdentityHasher h;
+  h.add(store::kIdentityVersion);
+  for (const ConfigKey& k : config_keys()) {
+    if (k.role != KeyRole::operational) k.hash(cfg_, h);
+  }
+  h.add(schedule_.k_grid());
+  h.add(setup_.los.lmax_evolve);
+  h.add(setup_.los.sample_taus);
+  h.add(boltzmann::kAutoSolverCrossoverK);
+  setup_.identity = store::RunIdentity{h.digest()};
 }
 
 double RunPlan::estimated_cost() const {
@@ -74,7 +83,8 @@ double RunPlan::estimated_cost() const {
       setup_.los.enabled ? setup_.los.lmax_evolve : 0;
   double cost = 0.0;
   for (double k : schedule_.k_grid()) {
-    cost += mode_cost(k, tau0, cap, lmax_evolve);
+    cost += mode_cost(k, tau0, cap, lmax_evolve,
+                      setup_.los.sample_taus.size());
   }
   return cost;
 }

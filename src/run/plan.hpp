@@ -26,11 +26,13 @@ namespace plinger::run {
 /// with the k tau0 oscillations, state with the photon tower the driver
 /// evolves for it.  lmax_evolve > 0 is a solver=auto run's short LOS
 /// tower, taken by exactly the modes boltzmann::los_routes_mode()
-/// sends down the line-of-sight branch; every other mode evolves the
-/// k-dependent hierarchy capped at lmax_cap.  RunPlan::estimated_cost()
-/// and run_batch()'s pre-context issue order both sum this.
+/// sends down the line-of-sight branch; such a mode also stops at each
+/// of its n_samples source sample times, so they add to its step count.
+/// Every other mode evolves the k-dependent hierarchy capped at
+/// lmax_cap.  RunPlan::estimated_cost() and run_batch()'s pre-context
+/// issue order both sum this.
 double mode_cost(double k, double tau0, std::size_t lmax_cap,
-                 std::size_t lmax_evolve);
+                 std::size_t lmax_evolve, std::size_t n_samples);
 
 class RunPlan {
  public:
@@ -49,17 +51,18 @@ class RunPlan {
 
   /// The assembled run setup; mutable so callers can attach host-side
   /// extras (setup().inject, setup().store.stop_after, ...) before
-  /// execute().  The 5 broadcast doubles and store/trace/fault fields
-  /// are already filled from the config.
+  /// execute().  The 5 broadcast doubles, store/trace/fault fields and
+  /// the store identity are already filled from the config.
   parallel::RunSetup& setup() { return setup_; }
   const parallel::RunSetup& setup() const { return setup_; }
 
   /// The checkpoint-store identity this plan's execution stamps on (and
-  /// requires of) a journal — parallel::run_identity() over the same
-  /// materialized quantities the drivers bind their store with, so a
-  /// journal written by a pre-run-layer entry point with the same
-  /// physics still matches.
-  store::RunIdentity identity() const;
+  /// requires of) a journal, hashed once at construction and carried to
+  /// the drivers as setup().identity.  It covers, in this order,
+  /// store::kIdentityVersion, every non-operational config_keys() row,
+  /// and the derived inputs the drivers receive: the k-grid, the LOS
+  /// short tower and sample times, and kAutoSolverCrossoverK.
+  store::RunIdentity identity() const { return setup_.identity; }
 
   /// Deterministic relative cost estimate (arbitrary units): per-mode
   /// integration work summed over the schedule.  run_batch() issues

@@ -7,9 +7,10 @@
 /// A request is a validated RunConfig; the answer is the rendered
 /// spectra product.  The service answers from, in order:
 ///
-///   tier 1  an LRU of finished answers keyed by the pinned 64-bit run
-///           identity (store/identity.hpp) — the hash that has been
-///           stable across refactors since the checkpoint store landed,
+///   tier 1  an LRU of finished answers keyed by the 64-bit run
+///           identity (store/identity.hpp), which covers every
+///           non-operational RunConfig key — two requests that differ
+///           in z_reion or l_max never share an answer,
 ///   tier 2  the persistent journal store: a complete journal written
 ///           under journal_dir/<identity>.pj answers without recompute
 ///           (read-through via store::read_journal + the run layer's

@@ -1,78 +1,83 @@
 #pragma once
 
 /// Run identity: a 64-bit hash over everything that determines the
-/// numerical content of a mode's result — the cosmological model, the
-/// perturbation configuration, the k-grid, and the physics fields of the
-/// tag-1 run setup (tau_end, lmax_cap).  A checkpoint journal stamped
-/// with one identity may only be resumed by a run with the same
-/// identity: same physics, bitwise the same results.
+/// numerical content of a run's mode results.  A checkpoint journal
+/// stamped with one identity may only be resumed by a run with the
+/// same identity: same physics, bitwise the same results.
 ///
-/// The issue order is deliberately NOT hashed — scheduling policy
-/// changes which mode is computed when, never what a mode's result is
-/// (the driver-equivalence sweep holds this bitwise), so a store written
-/// largest-first may be resumed natural-order and vice versa.
+/// One rule derives it, applied by run::RunPlan::identity():
 ///
-/// The one derivation from a run's inputs is the driver layer's
-/// parallel::run_identity(params, cfg, schedule, setup): every driver
-/// binds its journal through it, and run::RunPlan::identity() reports
-/// it for the exact values its execute() hands the driver.
-/// tests/run/test_equivalence.cpp pins both the agreement with the
-/// legacy hand-rolled wiring and the hash value itself, so journals
-/// written by pre-RunConfig entry points keep resuming.
+///   kIdentityVersion
+///   + every non-operational key of the RunConfig key table
+///     (run/config.hpp tags each row cosmology / physics / operational)
+///   + the derived inputs the plan hands the drivers: the k-grid, the
+///     line-of-sight short tower and source sample times, and
+///     boltzmann::kAutoSolverCrossoverK.
+///
+/// Operational keys (issue order, driver, transport, store, trace,
+/// fault handling) are never hashed: they change which mode is computed
+/// when and where, never what a mode's result is — the
+/// driver-equivalence sweep holds this bitwise — so a journal written
+/// largest-first may be resumed natural-order and vice versa.  A new
+/// key cannot be added without a role, so a physics key cannot be left
+/// out of the hash by omission.
+///
+/// The drivers never derive an identity: RunPlan stamps it on
+/// RunSetup::identity, and the drivers' store binding checks a journal
+/// against that value.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-
-namespace plinger::cosmo {
-struct CosmoParams;
-}
-namespace plinger::boltzmann {
-struct PerturbationConfig;
-}
+#include <string_view>
 
 namespace plinger::store {
 
 struct RunIdentity {
-  std::uint64_t value = 0;
+  std::uint64_t value = 0;  ///< 0 = unset
 
   friend bool operator==(const RunIdentity&, const RunIdentity&) = default;
 };
 
-/// Hash the physics inputs of a run.  k_grid is the ascending
-/// integration grid (KSchedule::k_grid()); tau_end and lmax_cap are the
-/// RunSetup fields that reach the integrator.
-RunIdentity run_identity(const cosmo::CosmoParams& params,
-                         const boltzmann::PerturbationConfig& cfg,
-                         std::span<const double> k_grid, double tau_end,
-                         double lmax_cap);
+/// The identity rule's version, hashed first.  Bump it whenever code
+/// outside the key table changes what a run computes — a record layout,
+/// a per-mode PerturbationConfig constant that is not a key, the
+/// auto-routing rule — so every older journal stamps differently and
+/// its resume is refused with StoreIdentityMismatch.  Version 1 was a
+/// hand-listed field hash; 2 is the key-table hash.
+inline constexpr std::uint64_t kIdentityVersion = 2;
 
-/// Version of the sample-bearing record family folded into the LOS
-/// identity: bumped to 3 with the SourceTable pipeline (the Pi column
-/// is now populated through tight coupling), so version-2 journals
-/// stamp differently and are rejected at resume instead of feeding
-/// zero polarization sources into E-mode spectra.
-inline constexpr std::uint64_t kLosRecordVersion = 3;
+/// FNV-1a 64-bit over a stream of typed values: integers as 8 bytes,
+/// doubles by bit pattern (any representable change moves the hash),
+/// strings and sequences length-prefixed so adjacent fields never
+/// alias.  No text is formatted, so hashing stays cheap enough for the
+/// serve request path.
+class IdentityHasher {
+ public:
+  void add(std::uint64_t v) { bytes(&v, sizeof v); }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(std::string_view s) {
+    add(static_cast<std::uint64_t>(s.size()));
+    bytes(s.data(), s.size());
+  }
+  void add(std::span<const double> v) {
+    add(static_cast<std::uint64_t>(v.size()));
+    for (const double x : v) add(x);
+  }
 
-/// The line-of-sight inputs that shape a solver=auto run's records: the
-/// short-hierarchy size every LOS-routed request is pinned to and the
-/// shared source sample times.  Hashed on top of the base identity so a
-/// journal of sample-bearing records can never cross-resume with a
-/// hierarchy journal (or with an LOS journal of different sampling or
-/// record version).
-struct LosIdentity {
-  std::size_t lmax_evolve = 0;
-  std::span<const double> sample_taus;
+  std::uint64_t digest() const { return h_; }
+
+ private:
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= p[i];
+      h_ *= 0x100000001B3ull;  // FNV prime
+    }
+  }
+
+  std::uint64_t h_ = 0xCBF29CE484222325ull;  // FNV offset basis
 };
-
-/// Identity of a line-of-sight run: the base hash over the same inputs,
-/// extended with an LOS salt, the LosIdentity fields and the solver=auto
-/// routing (boltzmann::kAutoSolverCrossoverK plus the rerouted-mode
-/// polarization lift).  The base overload is untouched, so every
-/// existing hierarchy journal keeps its stamp and keeps resuming.
-RunIdentity run_identity(const cosmo::CosmoParams& params,
-                         const boltzmann::PerturbationConfig& cfg,
-                         std::span<const double> k_grid, double tau_end,
-                         double lmax_cap, const LosIdentity& los);
 
 }  // namespace plinger::store

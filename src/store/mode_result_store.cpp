@@ -211,7 +211,9 @@ void ModeResultStore::open_journal() {
             hex64(journal_id) + " over " + std::to_string(journal_n_k) +
             " modes, but this run is " + hex64(id_.value) + " over " +
             std::to_string(n_k_) +
-            " modes; refusing to mix results from different physics");
+            " modes; refusing to mix results from different physics.  "
+            "To start this run afresh, move or delete the journal, or "
+            "point store= at a new path");
       }
       std::uint64_t good = raw.offset();
       for (;;) {

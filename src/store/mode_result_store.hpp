@@ -19,10 +19,12 @@
 /// bit-identical to every journal ever written) and the sample-bearing
 /// LOS record (y[7] = 3) that appends the TransferSamples recorded at
 /// los_sample_taus().  solver=auto journals hold both (hierarchy
-/// records below kAutoSolverCrossoverK) under an LOS-extended identity
-/// (store/identity.hpp), so a hierarchy run opening an auto journal —
-/// or vice versa — fails with StoreIdentityMismatch instead of
-/// resuming.
+/// records below kAutoSolverCrossoverK).  The header identity is the
+/// one key-table hash (store/identity.hpp): every non-operational
+/// RunConfig key, the derived driver inputs (k-grid, LOS tower and
+/// sample times, crossover) and kIdentityVersion.  `solver` is one of
+/// those keys, so a hierarchy run opening an auto journal — or vice
+/// versa — fails with StoreIdentityMismatch instead of resuming.
 ///
 /// Every record uses the io/fortran_binary length framing, i.e. the
 /// journal is a valid unit_2-style stream with one extra leading record
@@ -53,7 +55,9 @@
 namespace plinger::store {
 
 /// The journal belongs to a different run (wrong identity hash or grid
-/// size).  Resuming it would mix results from different physics.
+/// size).  Resuming it would mix results from different physics; the
+/// message names the remedy (move or delete the journal, or point
+/// store= at a new path).
 class StoreIdentityMismatch : public Error {
  public:
   explicit StoreIdentityMismatch(const std::string& what) : Error(what) {}

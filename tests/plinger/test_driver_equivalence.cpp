@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "boltzmann/los.hpp"
 #include "math/spline.hpp"
 #include "plinger/driver.hpp"
 
@@ -167,3 +168,30 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{pp::IssueOrder::random_shuffle, 2},
         SweepCase{pp::IssueOrder::random_shuffle, 4}),
     case_name);
+
+TEST(DriverRouting, RerouteLiftsPolarizationWithoutAnLmaxCap) {
+  // solver=auto request shaping with lmax_cap = 0: a mode below the
+  // crossover evolves the evolver's own uncapped lmax_photon_for_k
+  // tower, and its G tower must ride that tower, not the run-level
+  // lmax_polarization (12 here) — in every driver.
+  const auto& w = world();
+  const pp::KSchedule s({2e-4, 5e-4}, pp::IssueOrder::natural);
+  ASSERT_LT(s.k_grid().back(), pb::kAutoSolverCrossoverK);
+  pp::RunSetup setup;
+  setup.tau_end = 600.0;
+  setup.lmax_cap = 0.0;
+  setup.n_k = static_cast<double>(s.size());
+  setup.los.enabled = true;
+  setup.los.lmax_evolve = 24;
+
+  const auto check = [&](const pp::RunOutput& out) {
+    ASSERT_EQ(out.results.size(), s.size());
+    for (const auto& [ik, r] : out.results) {
+      const std::size_t tower = pb::lmax_photon_for_k(r.k, 600.0);
+      EXPECT_EQ(r.f_gamma.size(), tower + 1) << "ik " << ik;
+      EXPECT_EQ(r.g_gamma.size(), tower + 1) << "ik " << ik;
+    }
+  };
+  check(pp::run_linger_serial(w.bg, w.rec, w.cfg, s, setup));
+  check(pp::run_plinger_threads(w.bg, w.rec, w.cfg, s, setup, 2));
+}

@@ -542,6 +542,7 @@ TEST(FaultDriver, JournaledModesAreNeverRecomputedAfterAFailure) {
   setup1.fault.max_reassignments = 0;
   setup1.store.path = path;
   setup1.store.resume = true;
+  setup1.identity.value = 0xFA17u;  // driver-level: any stamp works
   const auto run1 =
       pp::run_plinger_threads(w.bg, w.rec, w.cfg, s, setup1, 2);
   ASSERT_EQ(run1.master.quarantined_ik.size(), 1u);
@@ -552,6 +553,7 @@ TEST(FaultDriver, JournaledModesAreNeverRecomputedAfterAFailure) {
   auto setup2 = phys_setup(s);
   setup2.store.path = path;
   setup2.store.resume = true;
+  setup2.identity.value = 0xFA17u;  // driver-level: any stamp works
   const auto run2 =
       pp::run_plinger_threads(w.bg, w.rec, w.cfg, s, setup2, 2);
   EXPECT_EQ(run2.n_modes_loaded, kNModes - 1);

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -222,7 +223,20 @@ TEST(TraceInvariants, RequeuedFaultsLeaveDuplicateAttemptSpans) {
     }
     return fake_result(req);
   };
-  pp::EvolveFn good = [](const pb::EvolveRequest& req, double) {
+  // The good worker holds its first mode until the flaky one has spent
+  // its 3 failures; otherwise it can drain all 12 modes before the
+  // flaky worker is handed a third.  The wait is bounded and fails
+  // loudly instead of hanging.
+  pp::EvolveFn good = [fail_count](const pb::EvolveRequest& req, double) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (fail_count->load() < 3) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        ADD_FAILURE() << "the flaky worker never spent its 3 failures";
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
     return fake_result(req);
   };
   const std::size_t n_modes = 12;

@@ -173,4 +173,21 @@ TEST(RunBatch, AutoJobIsCostedByTheTowersItEvolves) {
             batch.outputs[1].results.size());
   EXPECT_LT(batch.report.jobs[0].estimated_cost,
             batch.report.jobs[1].estimated_cost);
+
+  // Just above the crossover the short tower still stops at each of its
+  // 144 draft source sample times, which outweighs the taller tower of
+  // a small hierarchy job: the auto job at l_max = 50 is the slower
+  // one to run, so it must be costed higher and issued first.
+  run::RunConfig small_hier = hier;
+  small_hier.l_max = 30;
+  run::RunConfig small_auto = fast;
+  small_auto.l_max = 50;
+  const std::vector<run::BatchJob> small = {{small_hier, "hierarchy"},
+                                            {small_auto, "auto"}};
+  const auto small_batch = run::run_batch(small, opts);
+  ASSERT_EQ(small_batch.report.jobs.size(), 2u);
+  EXPECT_FALSE(small_batch.report.jobs[1].context_cache_hit);
+  EXPECT_TRUE(small_batch.report.jobs[0].context_cache_hit);
+  EXPECT_GT(small_batch.report.jobs[1].estimated_cost,
+            small_batch.report.jobs[0].estimated_cost);
 }

@@ -5,17 +5,22 @@
 // pre-refactor entry points produced by building
 // Background/Recombination/KSchedule/RunSetup by hand.  These tests
 // recreate that legacy wiring inline (copied from the old linger_cli
-// main) and diff every mode, the store identity (so pre-refactor
-// journals still resume), and the accumulated temperature spectrum.
+// main) and diff every mode and the accumulated temperature spectrum.
+// The store identity is pinned here too, and walked key by key against
+// the roles of the RunConfig key table.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <map>
+#include <sstream>
+#include <string>
 
 #include "cosmo/background.hpp"
 #include "cosmo/params.hpp"
 #include "cosmo/recombination.hpp"
+#include "io/params.hpp"
 #include "math/spline.hpp"
 #include "plinger/driver.hpp"
 #include "run/config.hpp"
@@ -24,6 +29,7 @@
 #include "run/products.hpp"
 #include "spectra/cl.hpp"
 #include "store/identity.hpp"
+#include "store/mode_result_store.hpp"
 
 using namespace plinger;
 
@@ -122,76 +128,158 @@ TEST(RunEquivalence, DriversAgreeThroughTheRunLayer) {
   expect_bitwise_equal(serial, autotask);
 }
 
-TEST(RunEquivalence, IdentityMatchesLegacyHash) {
-  // A journal written by the pre-refactor wiring must resume under a
-  // plan built from the equivalent RunConfig: the identity hash over
-  // (params, pcfg, k_grid, tau_end, lmax_cap) has to come out equal.
-  const run::RunConfig cfg = small_config();
-
-  cosmo::CosmoParams params = cosmo::CosmoParams::standard_cdm();
-  params.omega_c = 1.0 - params.omega_b - params.omega_lambda -
-                   params.omega_gamma() - params.omega_nu_massless();
-  boltzmann::PerturbationConfig pcfg;
-  pcfg.rtol = cfg.rtol;
-  pcfg.lmax_photon = cfg.lmax_photon;
-  pcfg.lmax_polarization = cfg.lmax_polarization;
-  pcfg.lmax_neutrino = cfg.lmax_neutrino;
-  const auto kgrid = math::linspace(cfg.k_min, cfg.k_max, cfg.n_k);
-  const store::RunIdentity legacy = store::run_identity(
-      params, pcfg, kgrid, cfg.tau_end, cfg.lmax_cap);
-
-  const run::RunPlan plan(cfg, run::make_context(cfg));
-  EXPECT_EQ(plan.identity(), legacy);
-}
-
 TEST(RunEquivalence, IdentityHashIsStableAcrossReleases) {
-  // Pinned value of the small_config() identity, computed when the run
-  // layer landed.  If this changes, every existing journal silently
-  // stops resuming — any edit that moves it needs a migration story,
-  // not just a new constant.
+  // Pinned value of the small_config() identity (store::kIdentityVersion
+  // 2, the key-table hash).  If this changes, every existing journal
+  // stops resuming — any edit that moves it needs a kIdentityVersion
+  // bump and a CHANGES.md entry, not just a new constant.
   const run::RunPlan plan(small_config(), run::make_context(small_config()));
-  EXPECT_EQ(plan.identity().value, UINT64_C(0xE0DE65790795AA5C));
+  EXPECT_EQ(plan.identity().value, UINT64_C(0x22F3F6385DCBBC6F));
 }
 
 TEST(RunEquivalence, AutoIdentityHashIsStableAcrossReleases) {
-  // Pinned solver=auto stamp of small_config(), unchanged since the
-  // rerouted-mode polarization lift: existing auto journals keep
-  // resuming.  Same migration rule as the hierarchy pin above.
+  // Pinned solver=auto stamp of small_config(); same migration rule as
+  // the hierarchy pin above.
   run::RunConfig cfg = small_config();
   cfg.solver = "auto";
   const run::RunPlan plan(cfg, run::make_context(cfg));
-  EXPECT_EQ(plan.identity().value, UINT64_C(0x19D59BDB57C5FB91));
+  EXPECT_EQ(plan.identity().value, UINT64_C(0x3512A0D3133320A2));
 }
 
-TEST(RunEquivalence, LosIdentityIsDistinctAndLayered) {
-  // solver=auto extends the identity (salt + short hierarchy + sample
-  // times + routing) on top of the unchanged base hash: an LOS journal
-  // can never be confused with a hierarchy journal over the same
-  // physics, and the extension composes with the pinned base above
-  // rather than moving it.
+TEST(RunEquivalence, OldIdentityJournalIsRefusedWithTheRemedy) {
+  // A journal stamped by the version-1 identity rule (small_config()'s
+  // stamp before the key-table hash) must be refused loudly, and the
+  // refusal must tell the operator how to proceed.
+  const std::string path =
+      ::testing::TempDir() + "plinger_identity_v1_journal.pj";
+  std::filesystem::remove(path);
+  {
+    store::StoreOptions opts;
+    opts.path = path;
+    const store::ModeResultStore v1(
+        opts, store::RunIdentity{UINT64_C(0xE0DE65790795AA5C)}, 8);
+  }
   run::RunConfig cfg = small_config();
-  cfg.tau_end = 0.0;  // LOS needs the visibility epoch: run to today
-  cfg.lmax_cap = 0;
-  const auto ctx = run::make_context(cfg);
-  const run::RunPlan hier(cfg, ctx);
+  cfg.store = path;
+  const run::RunPlan plan(cfg, run::make_context(cfg));
+  ASSERT_EQ(plan.schedule().size(), 8u);
+  try {
+    (void)plan.execute();
+    ADD_FAILURE() << "a version-1 journal was resumed";
+  } catch (const store::StoreIdentityMismatch& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("e0de65790795aa5c"), std::string::npos) << what;
+    EXPECT_NE(what.find("move or delete the journal"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("point store= at a new path"), std::string::npos)
+        << what;
+  }
+  std::filesystem::remove(path);
+}
 
-  cfg.solver = "auto";
-  const run::RunPlan los(cfg, ctx);
-  EXPECT_NE(los.identity(), hier.identity());
+namespace {
 
-  // The extension is reproducible from the documented recipe: the
-  // legacy base inputs plus the plan's own LosRunSpec.
-  cosmo::CosmoParams params = cosmo::CosmoParams::standard_cdm();
-  params.omega_c = 1.0 - params.omega_b - params.omega_lambda -
-                   params.omega_gamma() - params.omega_nu_massless();
-  const auto pcfg = cfg.perturbation();
-  const auto kgrid = math::linspace(cfg.k_min, cfg.k_max, cfg.n_k);
-  const auto& spec = los.setup().los;
-  ASSERT_TRUE(spec.enabled);
-  const store::LosIdentity ext{spec.lmax_evolve, spec.sample_taus};
-  EXPECT_EQ(los.identity(),
-            store::run_identity(params, pcfg, kgrid, cfg.tau_end,
-                                cfg.lmax_cap, ext));
+// The key walk's base: small_config() on the threads driver with a
+// massive neutrino and a tcp_listen endpoint, so every row below has a
+// valid alternative on its own.  Plans are built, never executed.
+run::RunConfig key_walk_base() {
+  run::RunConfig cfg = small_config();
+  cfg.n_massive_nu = 1;
+  cfg.omega_nu = 0.1;
+  cfg.driver = "threads";
+  cfg.tcp_listen = "127.0.0.1:0";
+  return cfg;
+}
+
+// One valid alternative value per config_keys() row.  A row without an
+// entry fails the walk, so a key cannot land untagged and unchecked.
+const std::map<std::string, std::string>& key_walk_alternatives() {
+  static const std::map<std::string, std::string> alt = {
+      {"preset", "lcdm"},
+      {"h", "0.55"},
+      {"omega_b", "0.06"},
+      {"omega_lambda", "0.1"},
+      {"omega_nu", "0.15"},
+      {"n_massive_nu", "2"},
+      {"n_eff_massless", "2.04"},
+      {"t_cmb", "2.7255"},
+      {"y_helium", "0.25"},
+      {"n_s", "0.96"},
+      {"z_reion", "20"},
+      {"grid", "log"},
+      {"k_min", "0.003"},
+      {"k_max", "0.03"},
+      {"n_k", "9"},
+      {"l_max", "30"},
+      {"points_per_osc", "3"},
+      {"k_margin", "1.5"},
+      {"order", "natural"},
+      {"ic", "isocurvature"},
+      {"integrator", "dop853"},
+      {"rtol", "1e-6"},
+      {"lmax_photon", "32"},
+      {"lmax_polarization", "16"},
+      {"lmax_neutrino", "16"},
+      {"tau_end", "700"},
+      {"lmax_cap", "32"},
+      {"solver", "auto"},
+      {"los_accuracy", "draft"},
+      {"tca_eps", "0.004"},
+      {"driver", "serial"},
+      {"workers", "3"},
+      {"transport", "tcp"},
+      {"tcp_listen", "127.0.0.1:1"},
+      {"tcp_connect", "127.0.0.1:2"},
+      {"tcp_retry", "3"},
+      {"tcp_backoff_ms", "100"},
+      {"store", "walk.pj"},
+      {"resume", "0"},
+      {"flush_interval", "4"},
+      {"stop_after", "3"},
+      {"trace", "1"},
+      {"trace_json", "walk.json"},
+      {"fault_timeout", "5"},
+      {"max_retries", "4"},
+  };
+  return alt;
+}
+
+}  // namespace
+
+TEST(RunIdentity, KeyWalkHashesExactlyTheNonOperationalKeys) {
+  // Flip each key-table row, alone, to a valid alternative: the store
+  // identity must move exactly when the row is not operational, and
+  // the context cache key exactly when the row is cosmology.
+  const run::RunConfig base = key_walk_base();
+  const auto base_ctx = run::make_context(base);
+  const std::uint64_t base_id = run::RunPlan(base, base_ctx).identity().value;
+  const std::uint64_t base_cosmo = run::RunContext::cosmology_key(base);
+  std::istringstream base_text(base.to_params_text());
+  const io::KeyValueMap base_kv = io::parse_params(base_text);
+
+  const auto& alt = key_walk_alternatives();
+  std::size_t walked = 0;
+  for (const run::ConfigKey& row : run::config_keys()) {
+    SCOPED_TRACE(row.key);
+    const auto it = alt.find(row.key);
+    ASSERT_NE(it, alt.end())
+        << "key '" << row.key << "' has no alternative value in the walk";
+    io::KeyValueMap kv = base_kv;
+    kv[row.key] = it->second;
+    const run::RunConfig flipped = run::parse_config(kv).config;
+    ASSERT_FALSE(flipped == base) << "alternative is the base value";
+
+    const std::uint64_t cosmo = run::RunContext::cosmology_key(flipped);
+    EXPECT_EQ(cosmo != base_cosmo, row.role == run::KeyRole::cosmology);
+    const auto ctx =
+        cosmo == base_cosmo ? base_ctx : run::make_context(flipped);
+    const std::uint64_t id = run::RunPlan(flipped, ctx).identity().value;
+    EXPECT_NE(id, 0u);
+    EXPECT_EQ(id != base_id, row.role != run::KeyRole::operational)
+        << "role " << run::key_role_name(row.role);
+    ++walked;
+  }
+  EXPECT_EQ(walked, alt.size()) << "the walk names keys the table lacks";
 }
 
 TEST(RunEquivalence, SpectraMatchLegacyAccumulationBitwise) {

@@ -93,6 +93,40 @@ TEST(SpectrumService, TierProgressionComputeThenLruThenJournal) {
   fs::remove_all(dir);
 }
 
+TEST(SpectrumService, ReionizationRedshiftIsPartOfTheAnswerIdentity) {
+  // Two requests that differ only in z_reion are different physics:
+  // the second must be computed, never answered from the first's LRU
+  // entry.
+  sv::SpectrumService service(sv::ServeOptions{});
+  const sv::Answer plain = service.answer(fast_config());
+  rn::RunConfig reion = fast_config();
+  reion.z_reion = 20.0;
+  const sv::Answer reionized = service.answer(reion);
+  EXPECT_EQ(plain.tier, sv::Tier::compute);
+  EXPECT_EQ(reionized.tier, sv::Tier::compute);
+  EXPECT_NE(reionized.body->identity, plain.body->identity);
+  EXPECT_TRUE(reionized.body->payload != plain.body->payload);
+}
+
+TEST(SpectrumService, LmaxOnALogGridIsPartOfTheAnswerIdentity) {
+  // On a log grid l_max does not move the k-grid, but it sets the
+  // spectrum the answer carries: a second request at another l_max is
+  // computed and answers at the l_max it asked for.
+  sv::SpectrumService service(sv::ServeOptions{});
+  rn::RunConfig wide = fast_config();
+  wide.l_max = 60;
+  rn::RunConfig narrow = fast_config();
+  narrow.l_max = 30;
+  ASSERT_EQ(narrow.grid, "log");
+  const sv::Answer first = service.answer(wide);
+  const sv::Answer second = service.answer(narrow);
+  EXPECT_EQ(first.tier, sv::Tier::compute);
+  EXPECT_EQ(second.tier, sv::Tier::compute);
+  EXPECT_EQ(first.body->l_max, 60u);
+  EXPECT_EQ(second.body->l_max, 30u);
+  EXPECT_TRUE(second.body->payload != first.body->payload);
+}
+
 TEST(SpectrumService, PayloadCarriesPolarizationColumnsAndCoverage) {
   // Every CL row is "CL l tt ee te"; the POL line between the rows and
   // the COBE factor reports the honest polarization reach, so a client

@@ -61,6 +61,7 @@ pp::RunSetup setup_for(const pp::KSchedule& s, const std::string& store) {
   setup.lmax_cap = 24;
   setup.n_k = static_cast<double>(s.size());
   setup.store.path = store;
+  setup.identity.value = 0xC4A5u;  // driver-level test: any stamp works
   return setup;
 }
 
