@@ -50,19 +50,7 @@ std::vector<double> los_sample_taus(const cosmo::Background& bg,
   const double tau_star = rec.tau_star();
   const double tau0 = bg.conformal_age();
 
-  // Estimate the visibility width from its second moment on a coarse
-  // scan around the peak.
-  double norm = 0.0, var = 0.0;
-  const int n_scan = 400;
-  const double lo = 0.3 * tau_star, hi = std::min(3.0 * tau_star, tau0);
-  std::size_t hint = 0;  // tau ascends: the hinted lookup stays O(1)
-  for (int i = 0; i < n_scan; ++i) {
-    const double t = lo + (hi - lo) * (i + 0.5) / n_scan;
-    const double g = rec.visibility(t, hint);
-    norm += g;
-    var += g * (t - tau_star) * (t - tau_star);
-  }
-  const double sigma = std::sqrt(var / norm);
+  const double sigma = rec.visibility_width();
 
   const double w = opts.rec_width_sigmas * sigma;
   const double t_lo = std::max(0.05 * tau_star, tau_star - w);

@@ -257,6 +257,21 @@ Recombination::Recombination(const Background& bg, const Options& opts)
       z_star_ = 1.0 / std::exp(lna[i]) - 1.0;
     }
   }
+
+  // Visibility width from its second moment on a coarse scan around
+  // the peak.
+  double norm = 0.0, var = 0.0;
+  const int n_scan = 400;
+  const double lo = 0.3 * tau_star_;
+  const double hi = std::min(3.0 * tau_star_, bg_.conformal_age());
+  std::size_t hint = 0;  // tau ascends: the hinted lookup stays O(1)
+  for (int i = 0; i < n_scan; ++i) {
+    const double t = lo + (hi - lo) * (i + 0.5) / n_scan;
+    const double g = visibility(t, hint);
+    norm += g;
+    var += g * (t - tau_star_) * (t - tau_star_);
+  }
+  visibility_width_ = std::sqrt(var / norm);
 }
 
 double Recombination::x_e_lna(double lna) const {

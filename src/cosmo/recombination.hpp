@@ -92,6 +92,13 @@ class Recombination {
   /// Redshift of the visibility peak.
   double z_star() const { return z_star_; }
 
+  /// RMS width of the visibility peak (Mpc): the square root of g's
+  /// second moment about tau_star() on a 400-point midpoint scan over
+  /// [0.3 tau_star, min(3 tau_star, tau0)].  Computed once here; the
+  /// line-of-sight sample window (boltzmann::los_sample_taus) is cut
+  /// from it.
+  double visibility_width() const { return visibility_width_; }
+
   /// Photon-baryon sound horizon r_s(tau) = int_0^tau dtau'/sqrt(3(1+R_b)),
   /// R_b = 3 rho_b / (4 rho_gamma) (Mpc).
   double sound_horizon(double tau) const;
@@ -111,6 +118,7 @@ class Recombination {
   double n_h0_ = 0.0;
   double tau_star_ = 0.0;
   double z_star_ = 0.0;
+  double visibility_width_ = 0.0;
 
   plinger::math::CubicSpline xe_of_lna_;
   plinger::math::CubicSpline tb_of_lna_;

@@ -47,11 +47,17 @@ parallel::RunOutput output_from_results(
 /// 18 uK default).  l_max = 0 takes the plan's l_max.
 ///
 /// Every mode that carries source samples (the LOS-routed modes of a
-/// solver = auto run) has its SourceTable projected here, master-side,
-/// via a shared BesselTable (boltzmann/source_table.hpp): F_l with the
-/// Pi correction folded into the quadrupole source, and G_l from the
+/// solver = auto run) has its SourceTable built and projected here via
+/// a shared BesselTable (boltzmann/source_table.hpp): F_l with the Pi
+/// correction folded into the quadrupole source, and G_l from the
 /// E-mode kernel, so C_l^EE/C_l^TE ride the fast path.  Every other
 /// mode is accumulated from its evolved moments directly.  The
+/// projections run on a pool of the plan's `workers` threads (1 under
+/// driver = serial; the calling thread is one of them, and a result
+/// set without samples starts none), while accumulation stays on the
+/// calling thread in ascending ik order, so the spectra are bitwise
+/// independent of the pool size.  A projection that throws is
+/// rethrown here, unchanged, after every pool thread has joined.  The
 /// projection is deterministic, so a resumed run reproduces an
 /// uninterrupted one bit for bit.  A run whose modes never carry an
 /// l >= 2 polarization contribution is refused (no silent zero EE/TE);

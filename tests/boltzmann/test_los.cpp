@@ -1,8 +1,12 @@
 #include "boltzmann/los.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -156,6 +160,46 @@ TEST(LineOfSightOptions, SampleTausValidateBeforeSampling) {
   o.rec_width_sigmas = -1.0;
   EXPECT_THROW(pb::los_sample_taus(w.bg, w.rec, o),
                plinger::InvalidArgument);
+}
+
+TEST(LineOfSight, CachedVisibilityWidthEqualsTheScanBitwise) {
+  // The sample window is cut from Recombination::visibility_width(),
+  // filled once per context.  It must be bit for bit the 400-point
+  // second-moment scan los_sample_taus used to run per call: the sample
+  // times feed the store identity, so one ulp of drift re-keys every
+  // solver=auto journal.
+  const auto scan = [](const pc::Background& bg,
+                       const pc::Recombination& rec) {
+    const double tau_star = rec.tau_star();
+    double norm = 0.0, var = 0.0;
+    const int n_scan = 400;
+    const double lo = 0.3 * tau_star;
+    const double hi = std::min(3.0 * tau_star, bg.conformal_age());
+    std::size_t hint = 0;
+    for (int i = 0; i < n_scan; ++i) {
+      const double t = lo + (hi - lo) * (i + 0.5) / n_scan;
+      const double g = rec.visibility(t, hint);
+      norm += g;
+      var += g * (t - tau_star) * (t - tau_star);
+    }
+    return std::sqrt(var / norm);
+  };
+  pc::Recombination::Options reionized;
+  reionized.z_reion = 12.0;
+  for (const auto& [params, opts] :
+       {std::pair{pc::CosmoParams::standard_cdm(), pc::Recombination::Options{}},
+        std::pair{pc::CosmoParams::lambda_cdm(), pc::Recombination::Options{}},
+        std::pair{pc::CosmoParams::mixed_dark_matter(),
+                  pc::Recombination::Options{}},
+        std::pair{pc::CosmoParams::lambda_cdm(), reionized}}) {
+    const pc::Background bg(params);
+    const pc::Recombination rec(bg, opts);
+    const double expected = scan(bg, rec);
+    ASSERT_GT(expected, 0.0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rec.visibility_width()),
+              std::bit_cast<std::uint64_t>(expected))
+        << rec.visibility_width() << " vs " << expected;
+  }
 }
 
 TEST(LineOfSightOptions, AccuracyTiersAreOrderedAndValid) {
