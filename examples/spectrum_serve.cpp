@@ -20,7 +20,7 @@
 //   --lru N           finished answers kept in memory (default 64)
 //   --lru-bytes N     byte budget over the cached rendered replies
 //                     (default 0 = count-based eviction only)
-//   --slots N         concurrent computations (default 2)
+//   --slots N         concurrent answers built (default 2)
 //
 // SIGINT/SIGTERM shut down gracefully: the daemon stops accepting,
 // in-flight requests run to completion (their journals are flushed per

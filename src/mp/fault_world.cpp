@@ -77,6 +77,15 @@ FaultInjectingWorld::FaultInjectingWorld(int nprocs, FaultPlan plan,
 
 FaultInjectingWorld::~FaultInjectingWorld() = default;  // joins delayed_
 
+void FaultInjectingWorld::join_delayed() {
+  std::vector<std::jthread> pending;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    pending.swap(delayed_);
+  }
+  pending.clear();  // join, outside the lock
+}
+
 bool FaultInjectingWorld::is_killed(int rank) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return rank >= 0 && rank < size() &&
@@ -263,8 +272,9 @@ void FaultInjectingWorld::send(int from, int to, int tag,
   }
   if (hold_header || !deliver) return;
   if (delay >= 0.0 && !kill_after) {
-    // Deliver later from a helper thread (joined in the destructor); a
-    // released header travels first so per-source order is preserved.
+    // Deliver later from a helper thread (joined by join_delayed() or
+    // the destructor); a released header travels first so per-source
+    // order is preserved.
     std::vector<double> copy(data.begin(), data.end());
     const std::lock_guard<std::mutex> lock(mutex_);
     delayed_.emplace_back([this, from, to, tag, copy = std::move(copy),

@@ -128,6 +128,11 @@ class FaultInjectingWorld final : public InProcWorld {
   /// Has this rank's simulated process been killed?
   bool is_killed(int rank) const;
 
+  /// Wait for every delayed delivery already in flight to land.  Call
+  /// once the protocol is over (no rank sends any more), so that no late
+  /// message, and no send-observer call, outlives the caller's state.
+  void join_delayed();
+
   /// Every fault injected so far, in injection order.
   std::vector<InjectedFault> injected() const;
 

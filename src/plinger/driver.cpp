@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -39,7 +40,7 @@ void attach_trace(RunOutput& out, std::unique_ptr<TraceRecorder> rec,
   }
 }
 
-/// Host-side checkpoint binding shared by the three drivers: the open
+/// Host-side checkpoint binding shared by every driver: the open
 /// journal plus the residual schedule covering what is left to compute.
 struct StoreBinding {
   std::unique_ptr<store::ModeResultStore> store;
@@ -146,15 +147,102 @@ void sweep_late_notices(mp::InProcWorld& world, RunOutput& out,
   }
 }
 
-/// Shared degraded-completion rollup (mirrors MasterStats into the
-/// run-output counters).
-void settle_degraded(RunOutput& out) {
+/// The one request-shaping rule, bound to one evolver: every driver's
+/// workers evolve through this, so a mode's tower never depends on the
+/// driver.  `tau_end` is the broadcast value (0 selects today).
+EvolveFn shaped_evolve(const ModeEvolver& evolver, const RunSetup& setup) {
+  return [&evolver, &setup](const boltzmann::EvolveRequest& req,
+                            double tau_end) {
+    const double end =
+        tau_end > 0.0 ? tau_end : evolver.background().conformal_age();
+    boltzmann::EvolveRequest r = req;
+    shape_request(r, setup, end);
+    return evolver.evolve(r, end);
+  };
+}
+
+std::unique_ptr<TraceRecorder> make_recorder(const RunSetup& setup) {
+  if (!setup.trace.enabled) return nullptr;
+  return std::make_unique<TraceRecorder>(setup.trace);
+}
+
+/// The one result sink: checkpoint a computed mode, count it, keep it.
+void sink_result(RunOutput& out, const StoreBinding& store, std::size_t ik,
+                 ModeResult r) {
+  if (store.store) store.store->append(ik, r);
+  ++out.n_modes_computed;
+  out.total_worker_cpu_seconds += r.cpu_seconds;
+  out.total_flops += r.flops;
+  out.results.emplace(ik, std::move(r));
+}
+
+/// The master half shared by the threads and tcp drivers: recorder and
+/// message tap, store binding, run_master on the calling thread, then
+/// the late-notice sweep and the degraded rollup.  `start_workers`
+/// launches in-process worker ranks once the recorder exists;
+/// `join_workers` must return only when no worker rank and no message
+/// the world holds back can send again.  It runs on every path, before
+/// the recorder is released.
+RunOutput run_master_half(
+    mp::InProcWorld& world, const KSchedule& schedule,
+    const RunSetup& setup,
+    const std::function<void(TraceRecorder*)>& start_workers,
+    const std::function<void()>& join_workers) {
+  const int n_workers = world.size() - 1;
+  RunOutput out;
+  out.n_workers = n_workers;
+  const double w0 = wallclock_seconds();
+  std::unique_ptr<TraceRecorder> recorder = make_recorder(setup);
+  if (recorder && setup.trace.capture_messages) {
+    // A TcpWorld counts both directions at the master, so the tap sees
+    // the same tag traffic the in-process observer would.
+    world.set_send_observer([r = recorder.get()](int from, int to, int tag,
+                                                 std::size_t bytes) {
+      r->record_message(tag, from, to, bytes);
+    });
+  }
+  StoreBinding store = bind_store(schedule, setup, out, recorder.get());
+
+  // Checkpointing happens here, in the master loop, as each result is
+  // sunk — workers never see the store and the Appendix-A wire protocol
+  // is untouched.  The master issues only the residual schedule;
+  // workers keep the base schedule (same grid, same ik -> k mapping)
+  // and stay oblivious.
+  try {
+    start_workers(recorder.get());
+    mp::PassContext ctx = mp::initpass(world, 0);
+    StopPredicate stop_early;
+    if (store.store) {
+      stop_early = [&store] { return store.store->stop_requested(); };
+    }
+    out.master = run_master(
+        ctx, store.effective(schedule), setup,
+        [&out, &store](std::size_t ik, const ModeResult& r) {
+          sink_result(out, store, ik, r);
+        },
+        setup.fault.max_retries, recorder.get(), stop_early);
+    mp::endpass(ctx);
+  } catch (...) {
+    join_workers();
+    throw;
+  }
+  join_workers();
+
+  // After the join every in-process notice is queued.  Worker ranks in
+  // other processes have no join barrier, so a death notice racing the
+  // final result is only best-effort there; anything queued is settled.
+  sweep_late_notices(world, out, recorder.get());
   out.n_modes_reassigned = out.master.n_reassigned;
   out.n_workers_lost = out.master.lost_workers.size();
   out.completed_degraded = out.n_workers_lost > 0 ||
                            !out.master.quarantined_ik.empty() ||
                            !out.master.failed_ik.empty() ||
                            out.master.all_workers_lost;
+
+  out.wallclock_seconds = wallclock_seconds() - w0;
+  out.transport = world.stats();
+  attach_trace(out, std::move(recorder), n_workers);
+  return out;
 }
 
 }  // namespace
@@ -164,49 +252,7 @@ RunOutput run_linger_serial(const cosmo::Background& bg,
                             const boltzmann::PerturbationConfig& cfg,
                             const KSchedule& schedule,
                             const RunSetup& setup) {
-  RunOutput out;
-  out.n_workers = 1;
-  const double w0 = wallclock_seconds();
-  std::unique_ptr<TraceRecorder> recorder;
-  if (setup.trace.enabled) {
-    recorder = std::make_unique<TraceRecorder>(setup.trace);
-  }
-
-  StoreBinding store = bind_store(schedule, setup, out, recorder.get());
-  const KSchedule& issue = store.effective(schedule);
-
-  // One fused thermo/background cache per run (shared here only with
-  // the evolver, but built the same way the parallel drivers share it).
-  const auto cache = run_cache(bg, rec, setup);
-  ModeEvolver evolver(bg, rec, cfg, cache);
-  const double tau_end =
-      setup.tau_end > 0.0 ? setup.tau_end : bg.conformal_age();
-
-  // The serial main loop in k (paper §4: "The main loop of the serial
-  // code is in k"), walked in the schedule's issue order (only the
-  // residual modes when resuming from a store).
-  for (std::size_t ik = issue.ik_first(); ik != 0;
-       ik = issue.ik_next(ik)) {
-    boltzmann::EvolveRequest req;
-    req.k = issue.k_of_ik(ik);
-    shape_request(req, setup, tau_end);
-    if (recorder) recorder->record_assign(ik, 1);
-    const double t0 = recorder ? recorder->now() : 0.0;
-    ModeResult r = evolver.evolve(req, tau_end);
-    if (recorder) {
-      recorder->record_span(ik, req.k, 1, /*completed=*/true, t0,
-                            recorder->now(), r.cpu_seconds, r.flops);
-    }
-    if (store.store) store.store->append(ik, r);
-    ++out.n_modes_computed;
-    out.total_worker_cpu_seconds += r.cpu_seconds;
-    out.total_flops += r.flops;
-    out.results.emplace(ik, std::move(r));
-    if (store.stop_requested()) break;  // flush-then-stop hook
-  }
-  out.wallclock_seconds = wallclock_seconds() - w0;
-  attach_trace(out, std::move(recorder), 1);
-  return out;
+  return run_linger_autotask(bg, rec, cfg, schedule, setup, 1);
 }
 
 RunOutput run_linger_autotask(const cosmo::Background& bg,
@@ -218,18 +264,15 @@ RunOutput run_linger_autotask(const cosmo::Background& bg,
   RunOutput out;
   out.n_workers = n_threads;
   const double w0 = wallclock_seconds();
-  std::unique_ptr<TraceRecorder> recorder;
-  if (setup.trace.enabled) {
-    recorder = std::make_unique<TraceRecorder>(setup.trace);
-  }
-  const double tau_end =
-      setup.tau_end > 0.0 ? setup.tau_end : bg.conformal_age();
+  std::unique_ptr<TraceRecorder> recorder = make_recorder(setup);
 
   StoreBinding store = bind_store(schedule, setup, out, recorder.get());
   const KSchedule& issue = store.effective(schedule);
 
   // Flatten the issue order once, then hand out items via an atomic
-  // cursor (the loop-level self-scheduling Autotasking provided).
+  // cursor (the loop-level self-scheduling Autotasking provided).  The
+  // serial main loop in k (paper §4: "The main loop of the serial code
+  // is in k") is this loop with one worker.
   std::vector<std::size_t> order;
   for (std::size_t ik = issue.ik_first(); ik != 0;
        ik = issue.ik_next(ik)) {
@@ -244,43 +287,40 @@ RunOutput run_linger_autotask(const cosmo::Background& bg,
   // worker thread (immutable after construction, so no synchronization).
   const auto cache = run_cache(bg, rec, setup);
 
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(static_cast<std::size_t>(n_threads));
-    for (int t = 0; t < n_threads; ++t) {
-      threads.emplace_back([&, t] {
-        const int worker = t + 1;  // worker ids 1..n, as in PLINGER
-        try {
-          ModeEvolver evolver(bg, rec, cfg, cache);
-          for (;;) {
-            if (store.stop_requested()) break;  // flush-then-stop hook
-            const std::size_t i = cursor.fetch_add(1);
-            if (i >= order.size()) break;
-            const std::size_t ik = order[i];
-            boltzmann::EvolveRequest req;
-            req.k = issue.k_of_ik(ik);
-            shape_request(req, setup, tau_end);
-            if (recorder) recorder->record_assign(ik, worker);
-            const double t0 = recorder ? recorder->now() : 0.0;
-            ModeResult r = evolver.evolve(req, tau_end);
-            if (recorder) {
-              recorder->record_span(ik, req.k, worker, /*completed=*/true,
-                                    t0, recorder->now(), r.cpu_seconds,
-                                    r.flops);
-            }
-            const std::lock_guard<std::mutex> lock(out_mutex);
-            if (store.store) store.store->append(ik, r);
-            ++out.n_modes_computed;
-            out.total_worker_cpu_seconds += r.cpu_seconds;
-            out.total_flops += r.flops;
-            out.results.emplace(ik, std::move(r));
-          }
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
+  const auto work = [&](int worker) {  // worker ids 1..n, as in PLINGER
+    try {
+      ModeEvolver evolver(bg, rec, cfg, cache);
+      const EvolveFn evolve = shaped_evolve(evolver, setup);
+      for (;;) {
+        if (store.stop_requested()) break;  // flush-then-stop hook
+        const std::size_t i = cursor.fetch_add(1);
+        if (i >= order.size()) break;
+        const std::size_t ik = order[i];
+        boltzmann::EvolveRequest req;
+        req.k = issue.k_of_ik(ik);
+        if (recorder) recorder->record_assign(ik, worker);
+        const double t0 = recorder ? recorder->now() : 0.0;
+        ModeResult r = evolve(req, setup.tau_end);
+        if (recorder) {
+          recorder->record_span(ik, req.k, worker, /*completed=*/true, t0,
+                                recorder->now(), r.cpu_seconds, r.flops);
         }
-      });
+        const std::lock_guard<std::mutex> lock(out_mutex);
+        sink_result(out, store, ik, std::move(r));
+      }
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!first_error) first_error = std::current_exception();
     }
+  };
+  {
+    // The calling thread is worker 1; the rest run on their own threads.
+    std::vector<std::jthread> threads;
+    threads.reserve(static_cast<std::size_t>(n_threads - 1));
+    for (int worker = 2; worker <= n_threads; ++worker) {
+      threads.emplace_back(work, worker);
+    }
+    work(1);
   }
   if (first_error) std::rethrow_exception(first_error);
   out.wallclock_seconds = wallclock_seconds() - w0;
@@ -295,113 +335,57 @@ RunOutput run_plinger_threads(const cosmo::Background& bg,
                               const RunSetup& setup, int n_workers,
                               mp::Library library) {
   PLINGER_REQUIRE(n_workers >= 1, "run_plinger_threads: need >= 1 worker");
-  RunOutput out;
-  out.n_workers = n_workers;
-  const double w0 = wallclock_seconds();
 
   // The plain world, or the fault-injecting decorator when the setup
   // carries an injection plan (tests and fault drills).  The protocol
   // layer sees only the InProcWorld interface either way.
-  std::unique_ptr<mp::InProcWorld> world_ptr;
+  std::unique_ptr<mp::InProcWorld> world;
+  mp::FaultInjectingWorld* faults = nullptr;
   if (setup.inject.empty()) {
-    world_ptr = std::make_unique<mp::InProcWorld>(n_workers + 1, library);
+    world = std::make_unique<mp::InProcWorld>(n_workers + 1, library);
   } else {
-    world_ptr = std::make_unique<mp::FaultInjectingWorld>(
+    auto f = std::make_unique<mp::FaultInjectingWorld>(
         n_workers + 1, setup.inject, library);
+    faults = f.get();
+    world = std::move(f);
   }
-  mp::InProcWorld& world = *world_ptr;
-  std::unique_ptr<TraceRecorder> recorder;
-  if (setup.trace.enabled) {
-    recorder = std::make_unique<TraceRecorder>(setup.trace);
-    if (setup.trace.capture_messages) {
-      world.set_send_observer(
-          [r = recorder.get()](int from, int to, int tag,
-                               std::size_t bytes) {
-            r->record_message(tag, from, to, bytes);
-          });
-    }
-  }
-
-  StoreBinding store = bind_store(schedule, setup, out, recorder.get());
 
   // Worker threads (ranks 1..n).  Exceptions are captured and rethrown
-  // on the master thread after join.  All workers share one read-only
+  // after the master half returns.  All workers share one read-only
   // thermo cache; the Appendix-A wire protocol is untouched by it.
   const auto cache = run_cache(bg, rec, setup);
   std::mutex error_mutex;
   std::exception_ptr first_error;
   std::vector<std::jthread> threads;
-  threads.reserve(static_cast<std::size_t>(n_workers));
-  for (int rank = 1; rank <= n_workers; ++rank) {
-    threads.emplace_back([&, rank] {
-      try {
-        ModeEvolver evolver(bg, rec, cfg, cache);
-        mp::PassContext ctx = mp::initpass(world, rank);
-        if (setup.los.enabled) {
-          // LOS shaping is host-side state the tag-1 broadcast does not
-          // carry; the EvolveFn overload lets the driver pin the short
-          // hierarchy and attach the shared sample times without any
-          // wire-protocol change.
-          run_worker(
-              ctx, schedule,
-              [&evolver, &bg, &setup](const boltzmann::EvolveRequest& req,
-                                      double tau_end) {
-                const double end =
-                    tau_end > 0.0 ? tau_end : bg.conformal_age();
-                boltzmann::EvolveRequest r = req;
-                // Same routing as the serial/autotask loops, including
-                // the solver=auto k-crossover.
-                shape_request(r, setup, end);
-                return evolver.evolve(r, end);
-              },
-              recorder.get());
-        } else {
-          run_worker(ctx, schedule, evolver, recorder.get());
+  RunOutput out = run_master_half(
+      *world, schedule, setup,
+      [&](TraceRecorder* recorder) {
+        threads.reserve(static_cast<std::size_t>(n_workers));
+        for (int rank = 1; rank <= n_workers; ++rank) {
+          threads.emplace_back([&, rank, recorder] {
+            try {
+              ModeEvolver evolver(bg, rec, cfg, cache);
+              mp::PassContext ctx = mp::initpass(*world, rank);
+              run_worker(ctx, schedule, setup,
+                         shaped_evolve(evolver, setup), recorder);
+              mp::endpass(ctx);
+            } catch (const mp::RankKilled&) {
+              // Simulated process death (fault injection): the master's
+              // recovery path owns the fallout; the thread just ends.
+            } catch (...) {
+              const std::lock_guard<std::mutex> lock(error_mutex);
+              if (!first_error) first_error = std::current_exception();
+            }
+          });
         }
-        mp::endpass(ctx);
-      } catch (const mp::RankKilled&) {
-        // Simulated process death (fault injection): the master's
-        // recovery path owns the fallout; the thread just ends.
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-
-  // Master (rank 0) on the calling thread.  Checkpointing happens here,
-  // in the master loop, as each result is sunk — workers never see the
-  // store and the Appendix-A wire protocol is untouched.  The master
-  // issues only the residual schedule; workers keep the base schedule
-  // (same grid, same ik -> k mapping) and stay oblivious.
-  {
-    mp::PassContext ctx = mp::initpass(world, 0);
-    StopPredicate stop_early;
-    if (store.store) {
-      stop_early = [&store] { return store.store->stop_requested(); };
-    }
-    out.master = run_master(
-        ctx, store.effective(schedule), setup,
-        [&out, &store](std::size_t ik, const ModeResult& r) {
-          if (store.store) store.store->append(ik, r);
-          ++out.n_modes_computed;
-          out.total_worker_cpu_seconds += r.cpu_seconds;
-          out.total_flops += r.flops;
-          out.results.emplace(ik, r);
-        },
-        setup.fault.max_retries, recorder.get(), stop_early);
-    mp::endpass(ctx);
-  }
-  threads.clear();  // join
+      },
+      [&] {
+        threads.clear();  // join
+        // A delayed delivery still asleep would otherwise land after
+        // the sweep and call the message tap after its recorder is gone.
+        if (faults) faults->join_delayed();
+      });
   if (first_error) std::rethrow_exception(first_error);
-
-  // After the join every notice is guaranteed queued.
-  sweep_late_notices(world, out, recorder.get());
-  settle_degraded(out);
-
-  out.wallclock_seconds = wallclock_seconds() - w0;
-  out.transport = world.stats();
-  attach_trace(out, std::move(recorder), n_workers);
   return out;
 }
 
@@ -417,58 +401,9 @@ RunOutput run_plinger_tcp(const cosmo::Background& bg,
   (void)cfg;
   PLINGER_REQUIRE(world.local_rank() == 0,
                   "run_plinger_tcp: the master must hold rank 0");
-  const int n_workers = world.size() - 1;
-  RunOutput out;
-  out.n_workers = n_workers;
-  const double w0 = wallclock_seconds();
-
-  std::unique_ptr<TraceRecorder> recorder;
-  if (setup.trace.enabled) {
-    recorder = std::make_unique<TraceRecorder>(setup.trace);
-    if (setup.trace.capture_messages) {
-      // The TCP world counts both directions at the master, so the tap
-      // sees the same tag traffic the in-process observer would.
-      world.set_send_observer(
-          [r = recorder.get()](int from, int to, int tag,
-                               std::size_t bytes) {
-            r->record_message(tag, from, to, bytes);
-          });
-    }
-  }
-
-  StoreBinding store = bind_store(schedule, setup, out, recorder.get());
-
-  // Master loop on the calling thread, exactly as in the threads driver;
-  // the worker ranks live in other processes behind the sockets.
-  {
-    mp::PassContext ctx = mp::initpass(world, 0);
-    StopPredicate stop_early;
-    if (store.store) {
-      stop_early = [&store] { return store.store->stop_requested(); };
-    }
-    out.master = run_master(
-        ctx, store.effective(schedule), setup,
-        [&out, &store](std::size_t ik, const ModeResult& r) {
-          if (store.store) store.store->append(ik, r);
-          ++out.n_modes_computed;
-          out.total_worker_cpu_seconds += r.cpu_seconds;
-          out.total_flops += r.flops;
-          out.results.emplace(ik, r);
-        },
-        setup.fault.max_retries, recorder.get(), stop_early);
-    mp::endpass(ctx);
-  }
-
-  // Unlike the threads driver there is no join barrier, so a death
-  // notice racing the final result is only best-effort here; anything
-  // already queued is settled.
-  sweep_late_notices(world, out, recorder.get());
-  settle_degraded(out);
-
-  out.wallclock_seconds = wallclock_seconds() - w0;
-  out.transport = world.stats();
-  attach_trace(out, std::move(recorder), n_workers);
-  return out;
+  // The worker ranks live in other processes behind the sockets.
+  return run_master_half(
+      world, schedule, setup, [](TraceRecorder*) {}, [] {});
 }
 
 void run_plinger_tcp_worker(const cosmo::Background& bg,
@@ -482,23 +417,7 @@ void run_plinger_tcp_worker(const cosmo::Background& bg,
   ModeEvolver evolver(bg, rec, cfg, cache);
   try {
     mp::PassContext ctx = mp::initpass(world, world.local_rank());
-    if (setup.los.enabled) {
-      // Same host-side shaping as the threads driver: the tag-1
-      // broadcast does not carry LOS state, so every process that runs
-      // workers must pin it identically for bitwise-equal results.
-      run_worker(ctx, schedule,
-                 [&evolver, &bg, &setup](
-                     const boltzmann::EvolveRequest& req, double tau_end) {
-                   const double end =
-                       tau_end > 0.0 ? tau_end : bg.conformal_age();
-                   boltzmann::EvolveRequest r = req;
-                   shape_request(r, setup, end);
-                   return evolver.evolve(r, end);
-                 },
-                 nullptr);
-    } else {
-      run_worker(ctx, schedule, evolver, nullptr);
-    }
+    run_worker(ctx, schedule, setup, shaped_evolve(evolver, setup));
     mp::endpass(ctx);
   } catch (const mp::PeerLost&) {
     // The master is gone; whatever it still wanted is unknowable.  The

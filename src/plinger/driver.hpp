@@ -1,13 +1,22 @@
 #pragma once
 
-/// Run drivers.
+/// Run drivers.  One skeleton, each decision made in one place:
 ///
-///  * LINGER  — the serial code: the master loop is an ordinary for-loop
-///    over the schedule (no message passing), exactly one ModeEvolver.
+///  * Request shaping: every driver's workers evolve through one shaped
+///    EvolveFn that applies shape_request (lmax_cap scaling, the
+///    solver=auto LOS pinning) and then ModeEvolver::evolve, so a mode's
+///    towers never depend on the driver.  Each worker refuses a tag-1
+///    broadcast that differs from its own RunSetup in any slot.
+///  * LINGER — the serial code is the autotask self-scheduling loop run
+///    with one worker on the calling thread (no message passing, exactly
+///    one ModeEvolver); autotask runs the same loop on n threads.
 ///  * PLINGER — the parallel code: rank 0 runs the master loop on the
-///    calling thread, ranks 1..n run worker loops on std::jthread, all
-///    over the wrapper API.  Results are identical to LINGER mode for
-///    mode (a protocol test asserts bitwise equality).
+///    calling thread, ranks 1..n run worker loops over the wrapper API,
+///    on std::jthread (threads) or in other processes (tcp).  Both share
+///    one master half: trace tap, store binding, run_master, the
+///    late-notice sweep and the degraded rollup.  Results are identical
+///    to LINGER mode for mode (test_driver_equivalence asserts bitwise
+///    equality, also with lmax_cap below a mode's natural tower).
 ///
 /// Timing mirrors the paper's Figure 1: total CPU time summed over
 /// workers (their etime) and master wallclock.
@@ -70,7 +79,8 @@ struct RunOutput {
   }
 };
 
-/// Serial LINGER run.
+/// Serial LINGER run: run_linger_autotask with one thread, the worker
+/// being the calling thread.
 RunOutput run_linger_serial(const cosmo::Background& bg,
                             const cosmo::Recombination& rec,
                             const boltzmann::PerturbationConfig& cfg,
@@ -80,9 +90,10 @@ RunOutput run_linger_serial(const cosmo::Background& bg,
 /// Shared-memory loop-level parallel LINGER — the analogue of running
 /// the serial code under Cray Autotasking on the C90 (paper §3: "it is
 /// more efficient to use Cray's Autotasking directives to parallelize
-/// the serial code").  No message passing: n_threads workers pull the
-/// next work item from a shared atomic cursor over the schedule.
-/// Results are identical to the serial driver mode for mode.
+/// the serial code").  No message passing: n_threads workers (the
+/// calling thread is worker 1) pull the next work item from a shared
+/// atomic cursor over the schedule.  Results are identical to the
+/// serial driver mode for mode.
 RunOutput run_linger_autotask(const cosmo::Background& bg,
                               const cosmo::Recombination& rec,
                               const boltzmann::PerturbationConfig& cfg,
@@ -113,10 +124,12 @@ RunOutput run_plinger_tcp(const cosmo::Background& bg,
                           mp::TcpWorld& world);
 
 /// Worker side of a cross-process run: serve the remote master until
-/// stopped.  Applies the same host-side LOS/auto request shaping as the
-/// in-process drivers (the tag-1 broadcast does not carry it), so
-/// results are bitwise identical.  Returns quietly when the master link
-/// goes down — a worker outliving its master has nothing left to do.
+/// stopped.  Shapes requests from its own `setup` exactly as every
+/// other driver does, so results are bitwise identical; a tag-1
+/// broadcast that differs from it in any slot (tau_end, lmax_cap, ...)
+/// is refused with InvalidArgument naming the key.  Returns quietly when the
+/// master link goes down — a worker outliving its master has nothing
+/// left to do.
 void run_plinger_tcp_worker(const cosmo::Background& bg,
                             const cosmo::Recombination& rec,
                             const boltzmann::PerturbationConfig& cfg,

@@ -7,12 +7,20 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/timing.hpp"
 #include "plinger/records.hpp"
 
 namespace plinger::parallel {
+
+namespace {
+/// Tag-1 slot names, in to_buffer() order.
+constexpr std::array<const char*, 5> kSetupSlots = {
+    "tau_end", "lmax_cap", "rtol", "n_k", "reserved"};
+constexpr std::size_t kSetupSlotNk = 3;
+}  // namespace
 
 std::array<double, 5> RunSetup::to_buffer() const {
   return {tau_end, lmax_cap, rtol, n_k, reserved};
@@ -438,7 +446,8 @@ MasterStats run_master(mp::PassContext& ctx, const KSchedule& schedule,
 }
 
 void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
-                const EvolveFn& evolve, TraceRecorder* trace) {
+                const RunSetup& own, const EvolveFn& evolve,
+                TraceRecorder* trace) {
   PLINGER_REQUIRE(!ctx.is_master(), "run_worker called on the master rank");
 
   // Receive initial data from master (tag 1).
@@ -446,9 +455,25 @@ void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
   mp::mycheckone(ctx, kTagInit, ctx.mastid);
   mp::myrecvreal(ctx, setup_buf, kTagInit, ctx.mastid);
   const RunSetup setup = RunSetup::from_buffer(setup_buf);
-  PLINGER_REQUIRE(static_cast<std::size_t>(std::llround(setup.n_k)) ==
-                      schedule.size(),
-                  "worker: schedule size disagrees with broadcast");
+  // The worker evolves from its own setup (the drivers' request shaping
+  // reads it), so a worker started from another configuration refuses
+  // the run rather than silently evolve other towers: every slot must
+  // equal its own, n_k being the size of the grid it holds.  It first
+  // sends the master its own death notice, so the run goes on without
+  // it instead of waiting for a request that will never come.
+  std::array<double, 5> mine = own.to_buffer();
+  mine[kSetupSlotNk] = static_cast<double>(schedule.size());
+  for (std::size_t i = 0; i < mine.size(); ++i) {
+    if (setup_buf[i] == mine[i]) continue;
+    const double notice[2] = {0.0, kFailureCodeWorkerLost};
+    mp::mysendreal(ctx, std::span<const double>(notice, 2), kTagError,
+                   ctx.mastid);
+    throw InvalidArgument(std::string("worker: broadcast ") +
+                          kSetupSlots[i] + " = " +
+                          std::to_string(setup_buf[i]) +
+                          " disagrees with this worker's " +
+                          kSetupSlots[i] + " = " + std::to_string(mine[i]));
+  }
 
   // Ask for a wavenumber (tag 2; no data, 1 double as in the paper).
   const double zero = 0.0;
@@ -468,15 +493,10 @@ void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
     const auto ik = static_cast<std::size_t>(std::llround(value));
     boltzmann::EvolveRequest req;
     req.k = schedule.k_of_ik(ik);
-    const double tau_end = setup.tau_end;
-    if (setup.lmax_cap > 0.0 && tau_end > 0.0) {
-      req.lmax_photon = boltzmann::lmax_photon_for_k(
-          req.k, tau_end, static_cast<std::size_t>(setup.lmax_cap));
-    }
     const double t_start = trace ? trace->now() : 0.0;
     const double cpu0 = trace ? thread_cpu_seconds() : 0.0;
     try {
-      const boltzmann::ModeResult result = evolve(req, tau_end);
+      const boltzmann::ModeResult result = evolve(req, setup.tau_end);
       if (trace) {
         trace->record_span(ik, req.k, ctx.mytid, /*completed=*/true,
                            t_start, trace->now(), result.cpu_seconds,
@@ -498,26 +518,6 @@ void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
                      ctx.mastid);
     }
   }
-}
-
-void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
-                const boltzmann::ModeEvolver& evolver,
-                TraceRecorder* trace) {
-  run_worker(ctx, schedule,
-             [&evolver](const boltzmann::EvolveRequest& req,
-                        double tau_end) {
-               const double end =
-                   tau_end > 0.0
-                       ? tau_end
-                       : evolver.background().conformal_age();
-               boltzmann::EvolveRequest r = req;
-               if (r.lmax_photon == 0) {
-                 // tau_end was 0 in the broadcast: size lmax here.
-                 r.lmax_photon = boltzmann::lmax_photon_for_k(r.k, end);
-               }
-               return evolver.evolve(r, end);
-             },
-             trace);
 }
 
 }  // namespace plinger::parallel

@@ -85,8 +85,8 @@ struct FaultConfig {
 /// Host-side line-of-sight run shaping (solver=auto in the run layer):
 /// every request at or above boltzmann::kAutoSolverCrossoverK is pinned
 /// to the same short hierarchy and the same source sample times, and
-/// its projection happens master-side after the run; modes below the
-/// crossover evolve the full hierarchy.  Never broadcast — the
+/// it is projected host-side after the run (run::make_spectra); modes
+/// below the crossover evolve the full hierarchy.  Never broadcast — the
 /// Appendix-A wire carries the sample-bearing records
 /// (plinger/records.hpp version 3) without any protocol change.
 struct LosRunSpec {
@@ -197,16 +197,19 @@ using EvolveFn = std::function<boltzmann::ModeResult(
     const boltzmann::EvolveRequest&, double tau_end)>;
 
 /// The worker loop ("kidsub"): receive setup, request work, integrate,
-/// report, repeat until stopped.  An exception from the evolve function
-/// is reported to the master as tag 7 and the worker keeps serving.
-/// `trace` (optional) records one ModeSpan per attempt, including the
-/// failed attempts behind every tag-7 report; null disables.
+/// report, repeat until stopped.  Each request carries only k; `evolve`
+/// receives it with the broadcast tau_end (0 selects today) and owns
+/// every tower decision (the drivers bind shape_request there).  Every
+/// slot of the broadcast must equal `own`'s, the setup this worker
+/// evolves from (n_k: the schedule's size); on a mismatch the worker
+/// sends its own death notice and throws InvalidArgument naming the
+/// key.  An exception from the evolve
+/// function is reported to the master as tag 7 and the worker keeps
+/// serving.  `trace` (optional) records one ModeSpan per attempt,
+/// including the failed attempts behind every tag-7 report; null
+/// disables.
 void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
-                const EvolveFn& evolve, TraceRecorder* trace = nullptr);
-
-/// Convenience overload binding a ModeEvolver (must outlive the call).
-void run_worker(mp::PassContext& ctx, const KSchedule& schedule,
-                const boltzmann::ModeEvolver& evolver,
+                const RunSetup& own, const EvolveFn& evolve,
                 TraceRecorder* trace = nullptr);
 
 }  // namespace plinger::parallel

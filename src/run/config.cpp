@@ -223,7 +223,8 @@ const KeyImpl kKeys[] = {
     PLINGER_KEY_DOUBLE("tau_end", tau_end, physics, "0",
                        "end of evolution [Mpc]; 0 = the conformal age"),
     PLINGER_KEY_DOUBLE("lmax_cap", lmax_cap, physics, "12000",
-                       "cap on the k-dependent photon hierarchy"),
+                       "cap on the k-dependent photon hierarchy, the "
+                       "same under every driver and transport"),
     // --- solver ---
     PLINGER_KEY_CHOICE("solver", solver, physics, "hierarchy",
                        "hierarchy (full Boltzmann tower, the golden "

@@ -81,9 +81,9 @@ class RunPlan {
   /// Worker side of a transport = tcp run: connect to cfg().tcp_connect
   /// and serve the remote master until stopped (or until the master
   /// link drops).  The config must carry the same physics surface as
-  /// the master's — the tag-1 broadcast cross-checks the schedule size
-  /// and tolerances.  This is what the plinger_worker example binary
-  /// calls.
+  /// the master's — the worker refuses a tag-1 broadcast that differs
+  /// from its own setup in any slot (n_k, tau_end, lmax_cap, ...).
+  /// This is what the plinger_worker example binary calls.
   void execute_worker() const;
 
  private:

@@ -138,6 +138,10 @@ std::shared_ptr<const run::RunContext> SpectrumService::context_for(
 std::shared_ptr<const AnswerBody> SpectrumService::build_answer(
     run::RunPlan& plan, std::uint64_t identity,
     const std::shared_ptr<ProgressHub>& hub) {
+  // One slot for the whole answer: a journal read and every
+  // make_spectra projection pool count against compute_slots too, so
+  // the daemon's thread budget is compute_slots x the requests' workers.
+  SlotGuard slot(slot_mutex_, slot_cv_, slots_free_);
   auto body = std::make_shared<AnswerBody>();
   body->identity = identity;
 
@@ -161,7 +165,6 @@ std::shared_ptr<const AnswerBody> SpectrumService::build_answer(
   }
 
   if (!answered) {
-    SlotGuard slot(slot_mutex_, slot_cv_, slots_free_);
     if (!jpath.empty()) {
       plan.setup().store.path = jpath;
       plan.setup().store.resume = true;

@@ -15,9 +15,12 @@
 ///           under journal_dir/<identity>.pj answers without recompute
 ///           (read-through via store::read_journal + the run layer's
 ///           output_from_results), so a daemon restart keeps its memory,
-///   tier 3  compute via RunPlan::execute(), bounded by compute_slots
-///           concurrent executions, checkpointing into the journal so
-///           the computation itself is crash-safe and resumable.
+///   tier 3  compute via RunPlan::execute(), checkpointing into the
+///           journal so the computation itself is crash-safe and
+///           resumable.
+///
+/// Tiers 2 and 3 run under one of compute_slots slots, projection
+/// included, so concurrent answers bound the daemon's threads.
 ///
 /// Identical concurrent requests coalesce: the first becomes the
 /// builder, the rest wait on its shared_future (the run_batch context-
@@ -68,8 +71,10 @@ struct ServeOptions {
   /// identities happen to be hot.
   std::size_t lru_max_bytes = 0;
 
-  /// Concurrent RunPlan::execute() calls (each still uses its config's
-  /// own driver/worker settings internally).
+  /// Answers built at once, journal-tier and computed alike: each
+  /// holds its slot from the journal read or RunPlan::execute() through
+  /// make_spectra (both still use the config's own driver/worker
+  /// settings internally).
   int compute_slots = 2;
 
   /// Cached RunContexts (distinct cosmologies); oldest-built evicted.

@@ -34,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "mp/tcp_world.hpp"
 #include "mp/wrappers.hpp"
 #include "plinger/driver.hpp"
@@ -598,6 +599,41 @@ TEST(TcpE2E, WorkerKilledMidRunStillCompletesBitwise) {
   EXPECT_TRUE(stats.quarantined_ik.empty());
   // Every mode still lands, and every one is bitwise identical.
   expect_wire_bitwise_equal(results, ref.results);
+}
+
+TEST(TcpE2E, WorkerRefusesABroadcastThatDisagreesWithItsSetup) {
+  // Request shaping is host-side: a worker evolves from its own setup.
+  // One started from another tau_end must refuse the run (naming the
+  // key) rather than silently evolve other towers, and its death notice
+  // lets the master finish without it.
+  const run::RunConfig cfg = e2e_config();
+  const auto ctx = run::make_context(cfg);
+  const run::RunPlan plan(cfg, ctx);
+  pp::RunSetup other = plan.setup();
+  other.tau_end = 2.0 * plan.setup().tau_end;
+
+  auto master = pm::TcpWorld::listen("127.0.0.1", 0, 1);
+  std::string refusal;
+  std::thread worker([&, port = master->port()] {
+    auto link = pm::TcpWorld::connect("127.0.0.1", port);
+    try {
+      pp::run_plinger_tcp_worker(ctx->background(), ctx->recombination(),
+                                 plan.perturbation(), plan.schedule(),
+                                 other, *link);
+    } catch (const plinger::InvalidArgument& e) {
+      refusal = e.what();
+    }
+  });
+  EXPECT_EQ(master->accept_workers(30.0), 1);
+  const auto out = pp::run_plinger_tcp(
+      ctx->background(), ctx->recombination(), plan.perturbation(),
+      plan.schedule(), plan.setup(), *master);
+  master.reset();
+  worker.join();
+
+  EXPECT_NE(refusal.find("tau_end"), std::string::npos) << refusal;
+  EXPECT_TRUE(out.results.empty());
+  EXPECT_TRUE(out.master.all_workers_lost);
 }
 
 }  // namespace

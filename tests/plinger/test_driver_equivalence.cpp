@@ -6,6 +6,8 @@
 // natural-order run; since results are keyed by the ascending work index
 // ik, neither the issue order nor the transport may change a single bit.
 
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "boltzmann/los.hpp"
@@ -194,4 +196,60 @@ TEST(DriverRouting, RerouteLiftsPolarizationWithoutAnLmaxCap) {
   };
   check(pp::run_linger_serial(w.bg, w.rec, w.cfg, s, setup));
   check(pp::run_plinger_threads(w.bg, w.rec, w.cfg, s, setup, 2));
+}
+
+TEST(DriverRouting, LmaxCapBindsEveryDriverWhenTauEndIsToday) {
+  // tau_end = 0 (evolve to today) with lmax_cap below every mode's
+  // natural tower: the cap is one host-side rule, so every driver —
+  // including the message-passing ones, whose broadcast tau_end is 0 —
+  // evolves the same capped towers and the same bits.
+  const auto& w = world();
+  const pp::KSchedule s(plinger::math::linspace(0.002, 0.008, 3),
+                        pp::IssueOrder::largest_first);
+  pp::RunSetup setup;
+  setup.tau_end = 0.0;
+  setup.lmax_cap = 40;
+  setup.n_k = static_cast<double>(s.size());
+  const double tau0 = w.bg.conformal_age();
+  for (double k : s.k_grid()) {
+    ASSERT_LT(setup.lmax_cap,
+              static_cast<double>(pb::lmax_photon_for_k(k, tau0)))
+        << "k " << k;
+  }
+
+  const auto ref = pp::run_linger_serial(w.bg, w.rec, w.cfg, s, setup);
+  ASSERT_EQ(ref.results.size(), s.size());
+  for (const auto& [ik, r] : ref.results) {
+    EXPECT_LE(static_cast<double>(r.lmax), setup.lmax_cap) << "ik " << ik;
+  }
+  const auto expect_same = [&](const pp::RunOutput& out, bool wire,
+                               const char* driver) {
+    SCOPED_TRACE(driver);
+    ASSERT_EQ(out.results.size(), ref.results.size());
+    for (const auto& [ik, r] : ref.results) {
+      ASSERT_TRUE(out.results.count(ik)) << ik;
+      EXPECT_LE(static_cast<double>(out.results.at(ik).lmax),
+                setup.lmax_cap)
+          << "ik " << ik;
+      expect_bitwise_equal(out.results.at(ik), r, ik, wire);
+    }
+  };
+  for (int n : {1, 2}) {
+    expect_same(pp::run_linger_autotask(w.bg, w.rec, w.cfg, s, setup, n),
+                false, n == 1 ? "autotask 1" : "autotask 2");
+    expect_same(pp::run_plinger_threads(w.bg, w.rec, w.cfg, s, setup, n),
+                true, n == 1 ? "threads 1" : "threads 2");
+  }
+
+  // An in-process tcp master/worker pair over loopback sockets.
+  auto master = plinger::mp::TcpWorld::listen("127.0.0.1", 0, 1);
+  std::thread worker([&, port = master->port()] {
+    auto link = plinger::mp::TcpWorld::connect("127.0.0.1", port);
+    pp::run_plinger_tcp_worker(w.bg, w.rec, w.cfg, s, setup, *link);
+  });
+  EXPECT_EQ(master->accept_workers(30.0), 1);
+  const auto tcp = pp::run_plinger_tcp(w.bg, w.rec, w.cfg, s, setup, *master);
+  master.reset();  // GOODBYE lets the worker's link close
+  worker.join();
+  expect_same(tcp, true, "tcp");
 }

@@ -114,7 +114,7 @@ FaultRun run_faulty(const pp::KSchedule& sched, int n_workers,
       }
       try {
         auto ctx = pm::initpass(world, rank);
-        pp::run_worker(ctx, sched, fn);
+        pp::run_worker(ctx, sched, setup, fn);
       } catch (const pm::RankKilled&) {
         // simulated process death — the master recovers
       }

@@ -41,7 +41,7 @@ std::pair<std::size_t, pp::MasterStats> run_protocol(
   for (std::size_t i = 0; i < workers.size(); ++i) {
     threads.emplace_back([&, i] {
       auto ctx = pm::initpass(world, static_cast<int>(i) + 1);
-      pp::run_worker(ctx, sched, workers[i]);
+      pp::run_worker(ctx, sched, setup, workers[i]);
     });
   }
   std::size_t n_results = 0;
@@ -130,7 +130,7 @@ TEST(FaultTolerance, ThrowingSinkStopsWorkersCleanly) {
   for (int rank = 1; rank <= 2; ++rank) {
     threads.emplace_back([&, rank] {
       auto ctx = pm::initpass(world, rank);
-      pp::run_worker(ctx, sched,
+      pp::run_worker(ctx, sched, setup,
                      [](const pb::EvolveRequest& req, double) {
                        return fake_result(req);
                      });

@@ -113,7 +113,7 @@ std::pair<pp::MasterStats, pp::Trace> run_traced_protocol(
   for (std::size_t i = 0; i < workers.size(); ++i) {
     threads.emplace_back([&, i] {
       auto ctx = pm::initpass(world_mp, static_cast<int>(i) + 1);
-      pp::run_worker(ctx, sched, workers[i], &recorder);
+      pp::run_worker(ctx, sched, setup, workers[i], &recorder);
     });
   }
   auto ctx = pm::initpass(world_mp, 0);

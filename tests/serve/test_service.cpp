@@ -211,6 +211,53 @@ TEST(SpectrumService, CoalescesConcurrentIdenticalRequests) {
   fs::remove_all(dir);
 }
 
+TEST(SpectrumService, JournalAnswersWaitForTheComputeSlot) {
+  // A journal-tier answer projects on its own pool, so it counts
+  // against compute_slots like a computation: with one slot held by a
+  // computation, a journal answer for another identity waits for it.
+  const std::string dir = scratch_dir("slots");
+  sv::ServeOptions opts;
+  opts.journal_dir = dir;
+  {
+    sv::SpectrumService journaling(opts);
+    ASSERT_EQ(journaling.answer(fast_config(1)).tier, sv::Tier::compute);
+  }
+
+  opts.compute_slots = 1;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> computing{false};
+  opts.on_compute = [released, &computing] {
+    computing = true;
+    released.wait();
+  };
+  sv::SpectrumService service(opts);
+  sv::Answer computed;
+  std::thread builder([&] { computed = service.answer(fast_config(0)); });
+  while (!computing) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  std::atomic<bool> journal_done{false};
+  sv::Answer journaled;
+  std::thread reader([&] {
+    journaled = service.answer(fast_config(1));
+    journal_done = true;
+  });
+  while (service.stats().in_flight < 2 && !journal_done) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_FALSE(journal_done.load());
+  release.set_value();
+  builder.join();
+  reader.join();
+
+  EXPECT_EQ(computed.tier, sv::Tier::compute);
+  EXPECT_EQ(journaled.tier, sv::Tier::journal);
+  fs::remove_all(dir);
+}
+
 TEST(SpectrumService, ProgressStreamsToEverySubscriber) {
   sv::ServeOptions opts;  // no journal dir: LRU-only service
   sv::SpectrumService service(opts);

@@ -355,7 +355,7 @@ TEST(CrashResumeFaults, RetriedModesCheckpointExactlyOnce) {
   for (int rank = 1; rank <= 2; ++rank) {
     threads.emplace_back([&, rank] {
       auto ctx = pm::initpass(world, rank);
-      pp::run_worker(ctx, sched, flaky);
+      pp::run_worker(ctx, sched, setup, flaky);
     });
   }
   auto ctx = pm::initpass(world, 0);
