@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
   for (const double k : {0.002, 0.2}) {
     boltzmann::PerturbationConfig cfg;
     cfg.lmax_photon = boltzmann::lmax_photon_for_k(k, tau0);
-    boltzmann::ModeEquations eq(bg, rec, cfg, k, &cache);
+    boltzmann::ModeEquations eq(bg, rec, cfg, k, cache);
     BaselineRhs base(bg, rec, cfg, k);
 
     const double tau_init = std::min(

@@ -87,7 +87,7 @@ inline void run_hierarchy(const double* __restrict__ f,
 ModeEquations::ModeEquations(const cosmo::Background& bg,
                              const cosmo::Recombination& rec,
                              const PerturbationConfig& cfg, double k,
-                             const cosmo::ThermoCache* cache)
+                             const cosmo::ThermoCache& cache)
     : bg_(bg),
       rec_(rec),
       cfg_(cfg),
@@ -249,28 +249,13 @@ ModeEquations::Common ModeEquations::compute_common(
   const StateLayout& L = layout_;
   Common c;
   c.a = std::max(y[StateLayout::a], 1e-12);
-  double nu_xi = 0.0;
-  double grho_nu_rel_one = 0.0;
-  if (cache_ != nullptr) {
-    // One fused O(1) lookup for everything per-a.
-    const cosmo::ThermoPoint tp = cache_->eval(c.a);
-    c.grho = tp.grho;
-    c.adotoa = tp.adotoa;
-    c.adotdota = tp.adotdota_over_a;
-    c.opac = tp.opacity;
-    c.cs2 = tp.cs2_baryon;
-    nu_xi = tp.nu_xi;
-    grho_nu_rel_one = tp.grho_nu_rel_one;
-  } else {
-    c.grho = bg_.grho(c.a);
-    c.adotoa = std::sqrt(c.grho.total() / 3.0);
-    c.opac = rec_.opacity(c.a);
-    c.cs2 = rec_.cs2_baryon(c.a);
-    if (L.n_q() > 0) {
-      nu_xi = bg_.nu_xi(c.a);
-      grho_nu_rel_one = bg_.grho_nu_rel_one(c.a);
-    }
-  }
+  // One fused O(1) lookup for everything per-a.
+  const cosmo::ThermoPoint tp = cache_.eval(c.a);
+  c.grho = tp.grho;
+  c.adotoa = tp.adotoa;
+  c.adotdota = tp.adotdota_over_a;
+  c.opac = tp.opacity;
+  c.cs2 = tp.cs2_baryon;
   c.r_photon_baryon = (4.0 / 3.0) * c.grho.photon / c.grho.baryon;
 
   const double delta_nu = y[L.fn(0)];
@@ -289,8 +274,8 @@ ModeEquations::Common ModeEquations::compute_common(
 
   if (L.n_q() > 0) {
     const auto& grid = bg_.nu()->q_grid();
-    const double xi = nu_xi;
-    const double gr1 = grho_nu_rel_one * nu_norm_;
+    const double xi = tp.nu_xi;
+    const double gr1 = tp.grho_nu_rel_one * nu_norm_;
     double s_rho = 0.0, s_q = 0.0, s_sig = 0.0;
     for (std::size_t iq = 0; iq < L.n_q(); ++iq) {
       const double q = grid[iq].q;
@@ -459,13 +444,11 @@ void ModeEquations::rhs_tca(double tau, std::span<const double> y,
                          (y[StateLayout::theta_g] + k2 * c.alpha);
 
   // First-order slip expansion (MB95 eq. 67, synchronous gauge).
-  const double addoa =
-      cache_ != nullptr ? c.adotdota : bg_.adotdota_over_a(c.a);
   const double slip =
       (2.0 * r / (1.0 + r)) * c.adotoa *
           (y[StateLayout::theta_b] - y[StateLayout::theta_g]) +
       (tau_c / (1.0 + r)) *
-          (-addoa * y[StateLayout::theta_b] -
+          (-c.adotdota * y[StateLayout::theta_b] -
            c.adotoa * k2 * 0.5 * y[StateLayout::delta_g] +
            k2 * (c.cs2 * delta_b_dot - 0.25 * delta_g_dot));
 
@@ -525,9 +508,11 @@ double ModeEquations::pi_source(double /*tau*/, std::span<const double> y,
 bool ModeEquations::tca_valid(double tau) const {
   const double a = bg_.a_of_tau(tau);
   if (a > 1.0 / (1.0 + cfg_.tca_exit_z)) return false;
-  const double opac = rec_.opacity(a);
-  const double adotoa = bg_.adotoa(a);
-  return std::max(k_, adotoa) < cfg_.tca_eps * opac;
+  return tca_margin(a) > 0.0;
+}
+
+double ModeEquations::tca_margin(double a) const {
+  return cfg_.tca_eps * rec_.opacity(a) - std::max(k_, bg_.adotoa(a));
 }
 
 ModeEquations::Couplings ModeEquations::couplings(
@@ -653,9 +638,9 @@ std::uint64_t ModeEquations::flops_per_rhs() const {
   // multiplies + 1 subtract (3 flops), and each massive-neutrino row
   // slot one extra multiply for the q k / eps scale (4 flops) plus ~28
   // flops of per-row setup (sqrt, sources, truncation).  The common
-  // block is 140 flops on the fused-cache path (one table interpolation
-  // + analytic densities) and 180 on the direct-spline path.
-  const std::uint64_t common = cache_ != nullptr ? 140 : 180;
+  // block is 140 flops (one ThermoCache interpolation + analytic
+  // densities + the Einstein constraints).
+  const std::uint64_t common = 140;
   const std::uint64_t photons =
       (L.lmax_photon() - 1) * 5 + (L.lmax_polarization() + 1) * 5;
   const std::uint64_t neutrinos = (L.lmax_neutrino() + 1) * 3;

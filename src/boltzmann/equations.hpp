@@ -13,7 +13,9 @@
 /// spherical-Bessel truncation closure (eqs. 51, 65).  At early times the
 /// photon-baryon system is advanced with the first-order tight-coupling
 /// expansion (eqs. 66, 67) including the polarization-corrected slaved
-/// shear sigma_g = (16/45) tau_c (theta_g + k^2 alpha).
+/// shear sigma_g = (16/45) tau_c (theta_g + k^2 alpha).  Every RHS call
+/// reads its per-a background and thermodynamics from the run's
+/// ThermoCache; there is no other evolution path.
 
 #include <cstdint>
 #include <span>
@@ -48,16 +50,14 @@ struct EinsteinResiduals {
 /// scratch; one instance per worker, not shared across threads.
 class ModeEquations {
  public:
-  /// With a non-null `cache` the per-a background/thermo quantities come
-  /// from one fused O(1) ThermoCache lookup instead of the individual
-  /// Background/Recombination splines — same physics, hot-path speed.
-  /// The cache must outlive this object and match (bg, rec).  Passing
-  /// nullptr keeps the direct-spline path (used as the reference and as
-  /// the bench baseline).
+  /// The per-a background/thermo quantities of the RHS come from one
+  /// fused O(1) ThermoCache lookup.  The cache must outlive this object
+  /// and match (bg, rec); its channels are checked against the direct
+  /// Background/Recombination accessors in test_thermo_cache.
   ModeEquations(const cosmo::Background& bg,
                 const cosmo::Recombination& rec,
                 const PerturbationConfig& cfg, double k,
-                const cosmo::ThermoCache* cache = nullptr);
+                const cosmo::ThermoCache& cache);
 
   const StateLayout& layout() const { return layout_; }
   double k() const { return k_; }
@@ -87,6 +87,11 @@ class ModeEquations {
   /// True while tight coupling is valid at conformal time tau (thresholds
   /// from the config; also false below the forced-exit redshift).
   bool tca_valid(double tau) const;
+
+  /// Tight-coupling margin at scale factor a, tca_eps * opacity -
+  /// max(k, a'/a): positive while the thresholds hold.  Shrinks
+  /// monotonically in a, so its root is the tight-coupling exit.
+  double tca_margin(double a) const;
 
   /// phi and psi of the conformal Newtonian gauge at (tau, y).
   NewtonianPotentials newtonian(double tau, std::span<const double> y) const;
@@ -134,7 +139,7 @@ class ModeEquations {
   /// Everything both RHS variants need at a given (tau, y).
   struct Common {
     double a, adotoa, opac, cs2;
-    double adotdota = 0.0;   ///< a''/a; filled only on the cached path
+    double adotdota;         ///< a''/a
     double r_photon_baryon;  ///< R = 4 rho_g / (3 rho_b)
     double gdrho;            ///< 8 pi G a^2 delta rho
     double gdq;              ///< 8 pi G a^2 (rho+p) theta
@@ -157,7 +162,7 @@ class ModeEquations {
   PerturbationConfig cfg_;
   double k_;
   StateLayout layout_;
-  const cosmo::ThermoCache* cache_ = nullptr;
+  const cosmo::ThermoCache& cache_;
 
   /// Precomputed hierarchy couplings: the per-multipole divides
   /// k l/(2l+1) (and the k-free variant for the massive-neutrino rows,
@@ -170,7 +175,7 @@ class ModeEquations {
   std::vector<double> hi_q_;  ///< (l+1)/(2l+1)
 
   /// Per-mode constants hoisted out of the RHS: divides are the most
-  /// expensive scalar ops left on the cached path, and these three keep
+  /// expensive scalar ops left in it, and these three keep
   /// recurring with the same operands every call.  k_third_/k_fifth_ are
   /// bitwise identical to the per-call k/3, k/5 they replace; the
   /// reciprocal inv_2k2_ turns the two Einstein-constraint divides into

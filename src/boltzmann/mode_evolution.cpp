@@ -19,7 +19,9 @@ ModeEvolver::ModeEvolver(const cosmo::Background& bg,
                          const cosmo::Recombination& rec,
                          const PerturbationConfig& cfg,
                          std::shared_ptr<const cosmo::ThermoCache> cache)
-    : bg_(bg), rec_(rec), cfg_(cfg), cache_(std::move(cache)) {}
+    : bg_(bg), rec_(rec), cfg_(cfg), cache_(std::move(cache)) {
+  PLINGER_REQUIRE(cache_, "ModeEvolver: thermo cache is null");
+}
 
 namespace {
 
@@ -97,7 +99,7 @@ ModeResult ModeEvolver::evolve(const EvolveRequest& req,
   // so low-k modes with a shorter per-k photon tower stay valid.  No-op
   // for the default config: lmax_photon_for_k never drops below 60.
   cfg.lmax_polarization = std::min(cfg.lmax_polarization, cfg.lmax_photon);
-  ModeEquations eq(bg_, rec_, cfg, req.k, cache_.get());
+  ModeEquations eq(bg_, rec_, cfg, req.k, *cache_);
 
   // Start superhorizon AND radiation-dominated.
   const double tau_init =
@@ -113,9 +115,7 @@ ModeResult ModeEvolver::evolve(const EvolveRequest& req,
     double tau_forced = bg_.tau_of_a(a_forced);
     tau_forced = std::min(tau_forced, tau_end);
     auto margin = [&](double tau) {
-      const double a = bg_.a_of_tau(tau);
-      return cfg.tca_eps * rec_.opacity(a) -
-             std::max(req.k, bg_.adotoa(a));
+      return eq.tca_margin(bg_.a_of_tau(tau));
     };
     if (margin(tau_forced) >= 0.0) {
       // Thresholds never trip before the forced-exit redshift.

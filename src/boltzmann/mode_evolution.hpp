@@ -58,7 +58,8 @@ struct EvolveRequest {
 };
 
 /// Integrates single modes.  Holds references to the shared immutable
-/// background/thermodynamics; each worker owns one evolver.
+/// background/thermodynamics; each worker owns one evolver, and every
+/// mode's RHS reads its per-a quantities from the ThermoCache.
 class ModeEvolver {
  public:
   /// Builds a private ThermoCache for this evolver (convenience for
@@ -67,8 +68,8 @@ class ModeEvolver {
               const PerturbationConfig& cfg);
 
   /// Shares a prebuilt per-run cache across workers.  `cache` must have
-  /// been built from the same (bg, rec); nullptr selects the direct
-  /// spline path (the pre-cache reference implementation).
+  /// been built from the same (bg, rec); a null cache throws
+  /// InvalidArgument.
   ModeEvolver(const cosmo::Background& bg, const cosmo::Recombination& rec,
               const PerturbationConfig& cfg,
               std::shared_ptr<const cosmo::ThermoCache> cache);
@@ -79,7 +80,6 @@ class ModeEvolver {
   const PerturbationConfig& config() const { return cfg_; }
   const cosmo::Background& background() const { return bg_; }
   const cosmo::Recombination& recombination() const { return rec_; }
-  const cosmo::ThermoCache* thermo_cache() const { return cache_.get(); }
 
  private:
   const cosmo::Background& bg_;

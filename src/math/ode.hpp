@@ -5,8 +5,8 @@
 /// The paper integrates the Einstein-Boltzmann system with DVERK, Hull,
 /// Enright & Jackson's implementation of Verner's 8-stage 6(5) pair
 /// (obtained from netlib).  We reproduce that pair exactly
-/// (VernerDverkTableau) and also provide the Cash-Karp 4(5) pair as a
-/// comparison baseline for the integrator ablation bench.
+/// (VernerDverkTableau); Dop853 below is the 8th-order alternative with
+/// dense output.
 ///
 /// The driver is a standard step-doubling-free embedded-pair controller:
 /// each step computes a high-order solution and an embedded lower-order
@@ -30,7 +30,6 @@ struct OdeOptions {
   double rtol = 1e-6;      ///< relative tolerance per component
   double atol = 1e-12;     ///< absolute tolerance per component
   double h_init = 0.0;     ///< initial step; 0 selects (t1-t0)/100
-  double h_min = 0.0;      ///< minimum |step|; 0 selects ~16*eps*|t|
   double h_max = 0.0;      ///< maximum |step|; 0 means unlimited
   long max_steps = 2'000'000;  ///< hard cap on accepted+rejected steps
 };
@@ -75,31 +74,6 @@ struct VernerDverkTableau {
                                           0.0,             0.0};
 };
 
-/// Cash-Karp 4(5) pair (Cash & Karp 1990): the classic RKF-style baseline
-/// used in the integrator ablation bench.
-struct CashKarpTableau {
-  static constexpr int stages = 6;
-  static constexpr int order = 5;
-  static constexpr double c[stages] = {0.0,       1.0 / 5.0, 3.0 / 10.0,
-                                       3.0 / 5.0, 1.0,       7.0 / 8.0};
-  static constexpr double a[stages][stages] = {
-      {},
-      {1.0 / 5.0},
-      {3.0 / 40.0, 9.0 / 40.0},
-      {3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0},
-      {-11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0},
-      {1631.0 / 55296.0, 175.0 / 512.0, 575.0 / 13824.0, 44275.0 / 110592.0,
-       253.0 / 4096.0},
-  };
-  /// 5th-order solution weights.
-  static constexpr double b[stages] = {37.0 / 378.0,  0.0, 250.0 / 621.0,
-                                       125.0 / 594.0, 0.0, 512.0 / 1771.0};
-  /// Embedded 4th-order weights.
-  static constexpr double bhat[stages] = {
-      2825.0 / 27648.0, 0.0,           18575.0 / 48384.0,
-      13525.0 / 55296.0, 277.0 / 14336.0, 1.0 / 4.0};
-};
-
 /// Generic embedded Runge-Kutta driver parameterized on a Butcher tableau.
 ///
 /// The right-hand side is any callable f(t, y, dydt) taking
@@ -112,11 +86,10 @@ class EmbeddedRk {
   EmbeddedRk() = default;
 
   /// Integrate y from t0 to t1 in place.  Throws NumericalFailure if the
-  /// step size underflows or max_steps is exhausted.  The optional observer
-  /// is called as observer(t, y) after every accepted step (and once at t0).
-  template <class F, class Observer>
+  /// step size underflows (below ~16 eps |t|) or max_steps is exhausted.
+  template <class F>
   OdeStats integrate(F&& f, double t0, double t1, std::vector<double>& y,
-                     const OdeOptions& opts, Observer&& observer) {
+                     const OdeOptions& opts) {
     PLINGER_REQUIRE(t1 != t0, "integration interval is empty");
     PLINGER_REQUIRE(opts.rtol > 0.0 && opts.atol >= 0.0,
                     "tolerances must be positive");
@@ -132,14 +105,10 @@ class EmbeddedRk {
     if (opts.h_max > 0.0) h = std::min(h, opts.h_max);
 
     OdeStats stats;
-    observer(t, std::span<const double>(y));
 
     while (dir * (t1 - t) > 0.0) {
-      const double h_floor =
-          opts.h_min > 0.0
-              ? opts.h_min
-              : 16.0 * std::numeric_limits<double>::epsilon() *
-                    std::max(std::abs(t), std::abs(t1));
+      const double h_floor = 16.0 * std::numeric_limits<double>::epsilon() *
+                             std::max(std::abs(t), std::abs(t1));
       h = std::min(h, std::abs(t1 - t));
       if (h < h_floor) {
         throw NumericalFailure("ODE step size underflow at t=" +
@@ -154,7 +123,6 @@ class EmbeddedRk {
       if (err <= 1.0) {
         t += dir * h;
         y.swap(y_new_);
-        observer(t, std::span<const double>(y));
         ++stats.n_accepted;
         h *= step_growth(err);
       } else {
@@ -164,14 +132,6 @@ class EmbeddedRk {
       if (opts.h_max > 0.0) h = std::min(h, opts.h_max);
     }
     return stats;
-  }
-
-  /// Overload without an observer.
-  template <class F>
-  OdeStats integrate(F&& f, double t0, double t1, std::vector<double>& y,
-                     const OdeOptions& opts) {
-    return integrate(std::forward<F>(f), t0, t1, y, opts,
-                     [](double, std::span<const double>) {});
   }
 
  private:
@@ -275,8 +235,6 @@ class EmbeddedRk {
 
 /// The paper's integrator: Verner 6(5) as in netlib DVERK.
 using Dverk = EmbeddedRk<VernerDverkTableau>;
-/// Comparison baseline for bench_integrator.
-using CashKarp = EmbeddedRk<CashKarpTableau>;
 
 /// Dormand-Prince 8(5,3) coefficients as in Hairer, Norsett & Wanner's
 /// dop853 (Solving Ordinary Differential Equations I, 2nd ed.): the
@@ -437,22 +395,13 @@ class Dop853 {
   Dop853() = default;
 
   /// Integrate y from t0 to t1 in place; same contract as
-  /// EmbeddedRk::integrate (observer after every accepted step and once
-  /// at t0; throws NumericalFailure on step underflow / max_steps).
-  template <class F, class Observer>
-  OdeStats integrate(F&& f, double t0, double t1, std::vector<double>& y,
-                     const OdeOptions& opts, Observer&& observer) {
-    return run(std::forward<F>(f), t0, t1, y, opts,
-               std::forward<Observer>(observer), std::span<const double>{},
-               [](double, std::span<const double>) {});
-  }
-
-  /// Overload without an observer.
+  /// EmbeddedRk::integrate (throws NumericalFailure on step underflow /
+  /// max_steps).
   template <class F>
   OdeStats integrate(F&& f, double t0, double t1, std::vector<double>& y,
                      const OdeOptions& opts) {
-    return integrate(std::forward<F>(f), t0, t1, y, opts,
-                     [](double, std::span<const double>) {});
+    return run(std::forward<F>(f), t0, t1, y, opts, std::span<const double>{},
+               [](double, std::span<const double>) {});
   }
 
   /// Integrate with dense-output sampling: on_sample(t, y_interp) fires
@@ -466,16 +415,15 @@ class Dop853 {
                            std::vector<double>& y, const OdeOptions& opts,
                            std::span<const double> sample_ts,
                            Sampler&& on_sample) {
-    return run(std::forward<F>(f), t0, t1, y, opts,
-               [](double, std::span<const double>) {}, sample_ts,
+    return run(std::forward<F>(f), t0, t1, y, opts, sample_ts,
                std::forward<Sampler>(on_sample));
   }
 
  private:
-  template <class F, class Observer, class Sampler>
+  template <class F, class Sampler>
   OdeStats run(F&& f, double t0, double t1, std::vector<double>& y,
-               const OdeOptions& opts, Observer&& observer,
-               std::span<const double> sample_ts, Sampler&& on_sample) {
+               const OdeOptions& opts, std::span<const double> sample_ts,
+               Sampler&& on_sample) {
     PLINGER_REQUIRE(t1 != t0, "integration interval is empty");
     PLINGER_REQUIRE(opts.rtol > 0.0 && opts.atol >= 0.0,
                     "tolerances must be positive");
@@ -491,7 +439,6 @@ class Dop853 {
     if (opts.h_max > 0.0) h = std::min(h, opts.h_max);
 
     OdeStats stats;
-    observer(t, std::span<const double>(y));
     std::size_t si = 0;
     while (si < sample_ts.size() && dir * (sample_ts[si] - t0) <= 0.0) {
       on_sample(sample_ts[si], std::span<const double>(y));
@@ -512,11 +459,8 @@ class Dop853 {
     bool rejected = false;
 
     while (dir * (t1 - t) > 0.0) {
-      const double h_floor =
-          opts.h_min > 0.0
-              ? opts.h_min
-              : 16.0 * std::numeric_limits<double>::epsilon() *
-                    std::max(std::abs(t), std::abs(t1));
+      const double h_floor = 16.0 * std::numeric_limits<double>::epsilon() *
+                             std::max(std::abs(t), std::abs(t1));
       h = std::min(h, std::abs(t1 - t));
       if (h < h_floor) {
         throw NumericalFailure("ODE step size underflow at t=" +
@@ -559,7 +503,6 @@ class Dop853 {
         t = t_new;
         y.swap(y_new_);
         k_[0].swap(k_[12]);
-        observer(t, std::span<const double>(y));
         ++stats.n_accepted;
         double h_new = h / fac;
         if (rejected) h_new = std::min(h_new, h);

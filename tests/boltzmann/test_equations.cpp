@@ -15,6 +15,7 @@ namespace {
 struct World {
   pc::Background bg{pc::CosmoParams::standard_cdm()};
   pc::Recombination rec{bg};
+  pc::ThermoCache cache{bg, rec};
 };
 const World& world() {
   static World w;
@@ -32,7 +33,7 @@ pb::PerturbationConfig small_cfg() {
 
 TEST(InitialConditions, AdiabaticRelations) {
   const auto& w = world();
-  pb::ModeEquations eq(w.bg, w.rec, small_cfg(), 0.01);
+  pb::ModeEquations eq(w.bg, w.rec, small_cfg(), 0.01, w.cache);
   const auto y = eq.initial_conditions(0.1);
   const auto& L = eq.layout();
   EXPECT_NEAR(y[pb::StateLayout::delta_c],
@@ -49,7 +50,7 @@ TEST(InitialConditions, AdiabaticRelations) {
 
 TEST(InitialConditions, RejectsSubhorizonStart) {
   const auto& w = world();
-  pb::ModeEquations eq(w.bg, w.rec, small_cfg(), 0.1);
+  pb::ModeEquations eq(w.bg, w.rec, small_cfg(), 0.1, w.cache);
   EXPECT_THROW(eq.initial_conditions(100.0), plinger::InvalidArgument);
 }
 
@@ -58,7 +59,7 @@ TEST(InitialConditions, EinsteinConstraintConsistency) {
   // analytic 2 C k^2 tau (h = C (k tau)^2 with C=1).
   const auto& w = world();
   const double k = 0.005, tau = 0.2;
-  pb::ModeEquations eq(w.bg, w.rec, small_cfg(), k);
+  pb::ModeEquations eq(w.bg, w.rec, small_cfg(), k, w.cache);
   const auto y = eq.initial_conditions(tau);
   std::vector<double> dy(y.size(), 0.0);
   eq.rhs_tca(tau, y, dy);
@@ -85,7 +86,7 @@ TEST(Evolution, EinsteinEvolutionEquationsHold) {
   cfg.lmax_neutrino = 32;
   cfg.rtol = 1e-8;
   const double k = 0.02;
-  pb::ModeEquations eq(w.bg, w.rec, cfg, k);
+  pb::ModeEquations eq(w.bg, w.rec, cfg, k, w.cache);
 
   // Evolve manually with the public RHS to keep hold of the state.
   plinger::math::Dverk ode;
@@ -226,7 +227,7 @@ TEST(Equations, FlopEstimateScalesWithLmax) {
   pb::PerturbationConfig small = small_cfg();
   pb::PerturbationConfig big = small_cfg();
   big.lmax_photon = 512;
-  pb::ModeEquations eq_s(w.bg, w.rec, small, 0.01);
-  pb::ModeEquations eq_b(w.bg, w.rec, big, 0.01);
+  pb::ModeEquations eq_s(w.bg, w.rec, small, 0.01, w.cache);
+  pb::ModeEquations eq_b(w.bg, w.rec, big, 0.01, w.cache);
   EXPECT_GT(eq_b.flops_per_rhs(), 3 * eq_s.flops_per_rhs());
 }

@@ -1,14 +1,12 @@
 // The flop-count model behind the paper-style Mflop accounting (§5.1)
 // must track the implemented RHS: bench_floprate divides ModeResult.flops
 // by CPU time, so a stale model silently mis-reports the sustained rate.
-// These tests pin the per-term model for the cached and direct paths and
+// These tests pin the per-term model of the one (ThermoCache) RHS and
 // assert the evolver's reported flops are n_rhs * flops_per_rhs.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
-#include <vector>
 
 #include "boltzmann/equations.hpp"
 #include "boltzmann/mode_evolution.hpp"
@@ -27,13 +25,13 @@ using plinger::cosmo::Recombination;
 using plinger::cosmo::ThermoCache;
 
 /// The current cost model, spelled out term by term (see
-/// ModeEquations::flops_per_rhs): the fused-cache common block saves the
-/// spline searches of the direct path, and the tabulated-coupling
-/// interior rows lo*f[l-1] - hi*f[l+1] cost 5 (photon/polarization,
-/// with the opacity term), 3 (massless nu), and 4 (massive nu, with the
-/// qke scale) flops per multipole.
-std::uint64_t expected_flops(bool cached, const StateLayout& layout) {
-  const std::uint64_t common = cached ? 140 : 180;
+/// ModeEquations::flops_per_rhs): a 140-flop common block (one fused
+/// ThermoCache lookup, the densities and the Einstein constraints), and
+/// tabulated-coupling interior rows lo*f[l-1] - hi*f[l+1] costing 5
+/// (photon/polarization, with the opacity term), 3 (massless nu), and 4
+/// (massive nu, with the qke scale) flops per multipole.
+std::uint64_t expected_flops(const StateLayout& layout) {
+  const std::uint64_t common = 140;
   const std::uint64_t photons = (layout.lmax_photon() - 1) * 5 +
                                 (layout.lmax_polarization() + 1) * 5;
   const std::uint64_t neutrinos = (layout.lmax_neutrino() + 1) * 3;
@@ -56,11 +54,8 @@ TEST_F(FlopsModelTest, CachedAndDirectModelsMatchFormula) {
   for (const std::size_t lmax_photon : {16UL, 128UL, 1024UL}) {
     PerturbationConfig cfg;
     cfg.lmax_photon = lmax_photon;
-    const ModeEquations cached(bg_, rec_, cfg, 0.05, &cache_);
-    const ModeEquations direct(bg_, rec_, cfg, 0.05, nullptr);
-    EXPECT_EQ(cached.flops_per_rhs(), expected_flops(true, cached.layout()));
-    EXPECT_EQ(direct.flops_per_rhs(), expected_flops(false, direct.layout()));
-    EXPECT_LT(cached.flops_per_rhs(), direct.flops_per_rhs());
+    const ModeEquations eq(bg_, rec_, cfg, 0.05, cache_);
+    EXPECT_EQ(eq.flops_per_rhs(), expected_flops(eq.layout()));
   }
 }
 
@@ -73,8 +68,8 @@ TEST_F(FlopsModelTest, MassiveNeutrinoTermScalesWithMomentumNodes) {
   std::uint64_t prev = 0;
   for (const std::size_t n_q : {2UL, 4UL, 8UL}) {
     cfg.n_q = n_q;
-    const ModeEquations eq(bg, rec, cfg, 0.05, &cache);
-    EXPECT_EQ(eq.flops_per_rhs(), expected_flops(true, eq.layout()));
+    const ModeEquations eq(bg, rec, cfg, 0.05, cache);
+    EXPECT_EQ(eq.flops_per_rhs(), expected_flops(eq.layout()));
     EXPECT_GT(eq.flops_per_rhs(), prev);
     prev = eq.flops_per_rhs();
   }
@@ -82,7 +77,7 @@ TEST_F(FlopsModelTest, MassiveNeutrinoTermScalesWithMomentumNodes) {
 
 TEST_F(FlopsModelTest, EvolverReportsRhsCountTimesModel) {
   // bench_floprate's Mflop/s = ModeResult.flops / cpu_seconds; the flops
-  // numerator must be exactly n_rhs * the cached-path per-call model.
+  // numerator must be exactly n_rhs * the per-call model.
   PerturbationConfig cfg;
   cfg.rtol = 1e-4;
   const ModeEvolver evolver(bg_, rec_, cfg);
@@ -94,42 +89,10 @@ TEST_F(FlopsModelTest, EvolverReportsRhsCountTimesModel) {
 
   PerturbationConfig used = cfg;
   used.lmax_photon = r.lmax;
-  const ModeEquations eq(bg_, rec_, used, req.k, evolver.thermo_cache());
+  const ModeEquations eq(bg_, rec_, used, req.k, cache_);
   EXPECT_EQ(r.flops,
             static_cast<std::uint64_t>(r.stats.n_rhs) * eq.flops_per_rhs());
-  EXPECT_EQ(eq.flops_per_rhs(), expected_flops(true, eq.layout()));
-}
-
-TEST_F(FlopsModelTest, CachedRhsMatchesDirectRhs) {
-  // The two paths integrate the same physics: the cached RHS may differ
-  // from the direct one only by the thermo-channel interpolation jitter
-  // (~1e-9 relative), never structurally.
-  PerturbationConfig cfg;
-  cfg.lmax_photon = 32;
-  cfg.lmax_polarization = 8;
-  cfg.lmax_neutrino = 16;
-  const double k = 0.05;
-  const ModeEquations cached(bg_, rec_, cfg, k, &cache_);
-  const ModeEquations direct(bg_, rec_, cfg, k, nullptr);
-
-  const double tau0 = cfg.ic_eps / k;
-  std::vector<double> y = direct.initial_conditions(tau0);
-  const auto layout = direct.layout();
-  ASSERT_EQ(y.size(), layout.size());
-
-  for (const double a : {y[StateLayout::a], 1e-5, 1e-3, 0.1}) {
-    y[StateLayout::a] = a;
-    const double tau = bg_.tau_of_a(a);
-    std::vector<double> dy_c(y.size()), dy_d(y.size());
-    cached.rhs_full(tau, y, dy_c);
-    direct.rhs_full(tau, y, dy_d);
-    double norm = 0.0;
-    for (const double v : dy_d) norm = std::max(norm, std::abs(v));
-    for (std::size_t j = 0; j < y.size(); ++j) {
-      EXPECT_NEAR(dy_c[j], dy_d[j], 1e-6 * (std::abs(dy_d[j]) + norm))
-          << "a=" << a << " slot=" << j;
-    }
-  }
+  EXPECT_EQ(eq.flops_per_rhs(), expected_flops(eq.layout()));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@ namespace {
 struct World {
   pc::Background bg{pc::CosmoParams::standard_cdm()};
   pc::Recombination rec{bg};
+  pc::ThermoCache cache{bg, rec};
   pb::PerturbationConfig cfg;
   World() {
     cfg.lmax_photon = 32;
@@ -68,7 +69,7 @@ TEST(Gauge, SuperhorizonPsiMatchesAnalytic) {
   // psi = 20 C / (15 + 4 R_nu) with C = 1 (MB95).
   const auto& w = world();
   const double k = 0.3;
-  pb::ModeEquations eq(w.bg, w.rec, w.cfg, k);
+  pb::ModeEquations eq(w.bg, w.rec, w.cfg, k, w.cache);
   const double tau = 0.5;  // k tau = 0.15, a ~ 1e-6: radiation era
   const auto y = eq.initial_conditions(0.01);
   auto state = y;
@@ -98,7 +99,7 @@ TEST(Gauge, SuperhorizonAdiabaticNewtonianDensities) {
   // Superhorizon adiabatic in Newtonian gauge: delta_gamma = -2 psi.
   const auto& w = world();
   const double k = 0.1;
-  pb::ModeEquations eq(w.bg, w.rec, w.cfg, k);
+  pb::ModeEquations eq(w.bg, w.rec, w.cfg, k, w.cache);
   const double tau = 1.0;  // k tau = 0.1
   const auto y = evolve_state(eq, k, 0.01, tau);
   const auto n = pb::to_newtonian_gauge(eq, tau, y);
@@ -112,7 +113,7 @@ TEST(Gauge, SuperhorizonAdiabaticNewtonianDensities) {
 TEST(Gauge, PoissonResidualTinyAcrossEpochs) {
   const auto& w = world();
   const double k = 0.05;
-  pb::ModeEquations eq(w.bg, w.rec, w.cfg, k);
+  pb::ModeEquations eq(w.bg, w.rec, w.cfg, k, w.cache);
   for (double tau : {1.0, 30.0, 235.0, 2000.0, 10000.0}) {
     const auto y = evolve_state(eq, k, 0.4 / k * 0.01, tau);
     EXPECT_LT(pb::poisson_residual(eq, tau, y), 1e-10) << tau;
@@ -123,7 +124,7 @@ TEST(Gauge, ComovingContrastGaugeInvariantGrowth) {
   // Delta grows ~ a in the matter era and is finite superhorizon.
   const auto& w = world();
   const double k = 0.02;
-  pb::ModeEquations eq(w.bg, w.rec, w.cfg, k);
+  pb::ModeEquations eq(w.bg, w.rec, w.cfg, k, w.cache);
   const auto y1 = evolve_state(eq, k, 0.05, 2000.0);
   const auto y2 = evolve_state(eq, k, 0.05, 8000.0);
   const double d1 = pb::comoving_density_contrast(eq, 2000.0, y1);
@@ -134,7 +135,7 @@ TEST(Gauge, ComovingContrastGaugeInvariantGrowth) {
 TEST(Gauge, ThetaShiftIsAlphaK2) {
   const auto& w = world();
   const double k = 0.05;
-  pb::ModeEquations eq(w.bg, w.rec, w.cfg, k);
+  pb::ModeEquations eq(w.bg, w.rec, w.cfg, k, w.cache);
   const auto y = evolve_state(eq, k, 0.1, 500.0);
   const auto n = pb::to_newtonian_gauge(eq, 500.0, y);
   const auto c = eq.couplings(500.0, y);
@@ -147,7 +148,7 @@ TEST(Isocurvature, ModeStartsWithEntropyPerturbation) {
   const auto& w = world();
   pb::PerturbationConfig cfg = w.cfg;
   cfg.ic_type = pb::InitialConditionType::cdm_isocurvature;
-  pb::ModeEquations eq(w.bg, w.rec, cfg, 0.01);
+  pb::ModeEquations eq(w.bg, w.rec, cfg, 0.01, w.cache);
   const double tau = 0.5;
   const auto y = eq.initial_conditions(tau);
   EXPECT_DOUBLE_EQ(y[pb::StateLayout::delta_c], 1.0);
@@ -166,7 +167,7 @@ TEST(Isocurvature, EinsteinResidualsHoldForEntropyMode) {
   cfg.ic_type = pb::InitialConditionType::cdm_isocurvature;
   cfg.rtol = 1e-8;
   const double k = 0.02;
-  pb::ModeEquations eq(w.bg, w.rec, cfg, k);
+  pb::ModeEquations eq(w.bg, w.rec, cfg, k, w.cache);
   auto y = eq.initial_conditions(0.05);
   plinger::math::Dverk ode;
   plinger::math::OdeOptions opts;

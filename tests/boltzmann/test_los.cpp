@@ -67,7 +67,8 @@ TEST(LineOfSight, MatchesFullBoltzmannAtPercentLevel) {
   los_req.sample_taus = w.taus;
   const auto los_mode = ev.evolve(los_req);
   const auto src = pb::build_source_table(w.bg, w.rec, los_mode);
-  const auto f_los = pb::project_source_table(src, 220).f_gamma;
+  const pb::BesselTable table(221, k * los_mode.tau_end);
+  const auto f_los = pb::project_source_table(src, 220, table).f_gamma;
 
   // Compare where Theta_l is not near a zero crossing.
   int checked = 0;

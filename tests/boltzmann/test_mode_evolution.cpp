@@ -125,6 +125,13 @@ TEST(ModeEvolver, RejectsBadRequests) {
   EXPECT_THROW(ev.evolve(req, 1e9), plinger::InvalidArgument);
 }
 
+TEST(ModeEvolver, RejectsNullThermoCache) {
+  // Every mode runs on the ThermoCache; there is no fallback path.
+  const auto& w = world();
+  EXPECT_THROW(pb::ModeEvolver(w.bg, w.rec, w.cfg, nullptr),
+               plinger::InvalidArgument);
+}
+
 TEST(ModeEvolver, PartialEvolutionStopsEarly) {
   const auto& w = world();
   pb::ModeEvolver ev(w.bg, w.rec, w.cfg);

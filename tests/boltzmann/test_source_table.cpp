@@ -104,7 +104,8 @@ TEST(SourceTable, EmodeProjectionMatchesHierarchyGl) {
 
   const auto mode = los_mode(w, k);
   const auto src = pb::build_source_table(w.bg, w.rec, mode);
-  const auto pm = pb::project_source_table(src, 200);
+  const pb::BesselTable table(201, mode.k * mode.tau_end);
+  const auto pm = pb::project_source_table(src, 200, table);
 
   // Compare away from zero crossings, like the temperature test: the
   // typical |G_l| at this k sets the amplitude floor.

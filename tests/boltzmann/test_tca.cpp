@@ -16,6 +16,7 @@ namespace {
 struct World {
   pc::Background bg{pc::CosmoParams::standard_cdm()};
   pc::Recombination rec{bg};
+  pc::ThermoCache cache{bg, rec};
   pb::PerturbationConfig cfg;
   World() {
     cfg.lmax_photon = 32;
@@ -47,7 +48,7 @@ std::vector<double> tca_state(const pb::ModeEquations& eq, double tau_init,
 
 TEST(TightCoupling, ValidityWindow) {
   const auto& w = world();
-  pb::ModeEquations eq(w.bg, w.rec, w.cfg, 0.05);
+  pb::ModeEquations eq(w.bg, w.rec, w.cfg, 0.05, w.cache);
   EXPECT_TRUE(eq.tca_valid(1.0));
   EXPECT_FALSE(eq.tca_valid(300.0));  // past recombination
   EXPECT_FALSE(eq.tca_valid(5000.0));
@@ -65,7 +66,7 @@ TEST(TightCoupling, ValidityWindow) {
 TEST(TightCoupling, HandoffSeedsQuasiStaticPolarization) {
   const auto& w = world();
   const double k = 0.05;
-  pb::ModeEquations eq(w.bg, w.rec, w.cfg, k);
+  pb::ModeEquations eq(w.bg, w.rec, w.cfg, k, w.cache);
   const auto& L = eq.layout();
   auto y = tca_state(eq, 0.02, 40.0);
   eq.tca_handoff(40.0, y);
@@ -84,7 +85,7 @@ TEST(TightCoupling, SlipMatchesExactEquationsDeepInCoupling) {
   // the exact (stiff) equation evaluated on the slaved state to O(tau_c).
   const auto& w = world();
   const double k = 0.02;
-  pb::ModeEquations eq(w.bg, w.rec, w.cfg, k);
+  pb::ModeEquations eq(w.bg, w.rec, w.cfg, k, w.cache);
   const double tau = 20.0;  // deep: opacity ~ 120/Mpc
   auto y = tca_state(eq, 0.02, tau);
 
@@ -111,7 +112,7 @@ TEST(TightCoupling, SlipMatchesExactEquationsDeepInCoupling) {
 TEST(TightCoupling, PhotonBaryonLockedWhileCoupled) {
   // theta_g tracks theta_b to O(tau_c) through the coupled era.
   const auto& w = world();
-  pb::ModeEquations eq(w.bg, w.rec, w.cfg, 0.03);
+  pb::ModeEquations eq(w.bg, w.rec, w.cfg, 0.03, w.cache);
   for (double tau : {5.0, 20.0, 50.0}) {
     const auto y = tca_state(eq, 0.02, tau);
     const double tb = y[pb::StateLayout::theta_b];
@@ -124,7 +125,7 @@ TEST(TightCoupling, HandoffPreservesConservedQuantities) {
   // The handoff only touches slaved moments: densities, velocities and
   // the metric must be bit-identical across it.
   const auto& w = world();
-  pb::ModeEquations eq(w.bg, w.rec, w.cfg, 0.05);
+  pb::ModeEquations eq(w.bg, w.rec, w.cfg, 0.05, w.cache);
   auto y = tca_state(eq, 0.02, 45.0);
   const auto before = y;
   eq.tca_handoff(45.0, y);
